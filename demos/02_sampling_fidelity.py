@@ -3,16 +3,18 @@ Sampled histograms against the exact law
 ========================================
 
 The oracle has two faces. ``oracle_exact`` walks the branch tree and returns
-the joint readout law as a finite distribution; ``oracle_sample_many`` plays
-the branching process shot by shot. This script draws seeded random circuits,
-compares the two faces in total variation, and checks that the branch tree
-accounts for all the probability mass.
+the joint readout law as a finite distribution; ``oracle_read_codes`` plays
+the branching process for many shots at once and returns each shot's
+readouts as basis indices, which ``empirical_codes`` counts into a
+histogram. This script draws seeded random circuits, compares the two faces
+in total variation, and checks that the branch tree accounts for all the
+probability mass.
 """
 
 import numpy as np
 
-from ncmlab.dist import empirical, sd
-from ncmlab.ncmo import oracle_exact, oracle_sample_many
+from ncmlab.dist import empirical_codes, sd
+from ncmlab.ncmo import oracle_exact, oracle_read_codes
 from ncmlab.qsim import enumerate_branches, random_circuit
 
 SHOTS = 100_000
@@ -33,8 +35,8 @@ for i, circuit in enumerate(kept):
     tree = enumerate_branches(circuit)
     mass = sum(leaf.prob for leaf in tree.leaves())
 
-    outs = oracle_sample_many(circuit, SHOTS, rng)
-    hist = empirical(o.flat() for o in outs).to_dist()
+    codes = oracle_read_codes(circuit, SHOTS, rng)
+    hist = empirical_codes(codes, circuit.qubits).to_dist()
     tv = sd(exact, hist)
 
     print(f"circuit {i}: {circuit.qubits} qubits, {circuit.depth} steps, "

@@ -26,13 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import FiniteDist, empirical, sd
+from .dist import FiniteDist, empirical_codes, sd
 from .errors import StructureError
 from .ncmo import (
     FinalOutput,
     FnMachine,
     NextQuery,
     oracle_exact,
+    oracle_read_codes,
     oracle_sample_many,
     session_law,
 )
@@ -116,8 +117,9 @@ def criterion_1(seed: int = BASE_SEED) -> list[Check]:
         tree = enumerate_branches(circuit)
         norm = abs(sum(leaf.prob for leaf in tree.leaves()) - 1.0)
         worst_norm = max(worst_norm, norm)
-        draws = [o.flat() for o in oracle_sample_many(circuit, 100_000, rng)]
-        worst_tv = max(worst_tv, sd(empirical(draws).to_dist(), exact))
+        codes = oracle_read_codes(circuit, 100_000, rng)
+        emp = empirical_codes(codes, circuit.qubits).to_dist()
+        worst_tv = max(worst_tv, sd(emp, exact))
     elapsed = time.perf_counter() - start
     return [
         _leq("oracle-core/sampling-tv[50 circuits, 1e5 shots]",

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .acceptance import BASE_SEED, Check, SUITES, run_suite
-from .dist import FiniteDist, check_bits, empirical, sd
+from .dist import FiniteDist, check_bits, empirical, empirical_codes, sd
 from .errors import (
     ImpossibleConditionError,
     InstanceTooLargeError,
@@ -32,7 +32,7 @@ from .errors import (
     RetryBudgetExceededError,
     StructureError,
 )
-from .ncmo import oracle_exact, oracle_sample_many
+from .ncmo import oracle_exact, oracle_read_codes
 from .qsim import circuit_from_json, enumerate_branches
 from .puzzles import per_step_sd, step_adversary
 from .dcrpuzz import (
@@ -79,6 +79,17 @@ def _chk(name: str, value: float, tol: float) -> Check:
     value = float(value)
     tol = float(tol)
     return Check(name=name, value=value, tolerance=tol, passed=value <= tol)
+
+
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _binomial_tol(trials: int) -> float:
@@ -205,8 +216,8 @@ def _cmd_run_oracle(args) -> dict:
         return _report("run-oracle", config, checks, payload)
     seed = _require_seed(args)
     rng = np.random.default_rng(seed)
-    draws = [o.flat() for o in oracle_sample_many(circuit, args.shots, rng)]
-    emp = empirical(draws).to_dist()
+    codes = oracle_read_codes(circuit, args.shots, rng)
+    emp = empirical_codes(codes, circuit.qubits).to_dist()
     payload["empirical"] = emp.to_json()
     try:
         exact = oracle_exact(circuit)
@@ -380,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--circuit", required=True, help="circuit JSON file")
     oracle.add_argument("--mode", choices=("exact", "sample"),
                         default="exact")
-    oracle.add_argument("--shots", type=int, default=10000)
+    oracle.add_argument("--shots", type=_positive_int, default=10000)
     oracle.add_argument("--seed", type=int, default=None,
                         help="required in sample mode")
     oracle.add_argument("--out", default=None, help="report file "
@@ -406,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="commitment sampler form (default coherent)")
     reduction.add_argument("--params", default=None,
                            help="k=v list: mac n,lm; commitment n,c,table")
-    reduction.add_argument("--trials", type=int, default=10000)
+    reduction.add_argument("--trials", type=_positive_int, default=10000)
     reduction.add_argument("--seed", type=int, default=None, required=False)
     reduction.add_argument("--out", default=None)
     reduction.set_defaults(fn=_cmd_run_reduction)
@@ -417,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     dcr.add_argument("--pp", default=None,
                      help="single public parameter (default: all)")
     dcr.add_argument("--mode", choices=("exact", "sample"), default="exact")
-    dcr.add_argument("--shots", type=int, default=10000)
+    dcr.add_argument("--shots", type=_positive_int, default=10000)
     dcr.add_argument("--seed", type=int, default=None)
     dcr.add_argument("--out", default=None)
     dcr.set_defaults(fn=_cmd_run_dcr)

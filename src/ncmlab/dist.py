@@ -139,8 +139,11 @@ def sd(p: FiniteDist, q: FiniteDist) -> float:
     if p.length != q.length:
         raise StructureError(
             f"length mismatch in sd: {p.length} vs {q.length}")
-    keys = set(p.support) | set(q.support)
-    return 0.5 * sum(abs(p.prob(k) - q.prob(k)) for k in keys)
+    # p's atoms in order, then q's atoms outside p: a fixed summation order,
+    # so the value does not depend on the process's string hash seed
+    total = sum(abs(v - q.prob(k)) for k, v in p.items())
+    total += sum(v for k, v in q.items() if k not in p)
+    return 0.5 * total
 
 
 def condition(d: FiniteDist, prefix: str) -> FiniteDist:
@@ -240,3 +243,33 @@ def empirical(samples: Iterable[str]) -> EmpiricalDist:
     if n == 0:
         raise StructureError("no samples")
     return EmpiricalDist(counts=counts, shots=n)
+
+
+def empirical_codes(rows: np.ndarray, width: int) -> EmpiricalDist:
+    """Counts of integer-coded samples, keyed by bit string.
+
+    Row i is sample i; each column holds a ``width``-bit field, and the
+    sample's bit string is the fields formatted in column order. One
+    lexsort over the columns groups equal rows, and only the distinct rows
+    are formatted, so the counts equal ``empirical`` of the per-sample
+    strings.
+    """
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] == 0:
+        raise StructureError(
+            f"expected a (samples, fields) array, got shape {rows.shape}")
+    if rows.dtype.kind not in "iu":
+        raise StructureError(f"expected integer codes, got {rows.dtype}")
+    shots = rows.shape[0]
+    if shots == 0:
+        raise StructureError("no samples")
+    if width < 1 or rows.min() < 0 or int(rows.max()) >> width:
+        raise StructureError(f"codes do not fit in {width}-bit fields")
+    ordered = rows[np.lexsort(rows.T[::-1])]
+    starts = np.flatnonzero(np.concatenate(
+        ([True], (ordered[1:] != ordered[:-1]).any(axis=1))))
+    sizes = np.diff(np.append(starts, shots))
+    fmt = f"0{width}b"
+    counts = {"".join(format(v, fmt) for v in row): c
+              for row, c in zip(ordered[starts].tolist(), sizes.tolist())}
+    return EmpiricalDist(counts=counts, shots=shots)

@@ -10,8 +10,12 @@ factors over the collapsing branch:
 
 so reads are conditionally independent given the branch, and v_t always
 begins with u_t. ``oracle_exact`` materializes that law; ``oracle_sample``
-draws from it by direct simulation; ``q_t``, ``q1`` and ``q2`` expose the
-partial views used by the puzzle constructions.
+draws from it by direct simulation; ``oracle_read_codes`` draws many calls
+at once and returns their readouts as basis indices, which
+``dist.empirical_codes`` counts without a string per shot
+(``oracle_sample_many`` formats the same draws as bit strings). ``q_t``,
+``q1`` and ``q2`` expose the partial views used by the puzzle
+constructions.
 
 Machines: a BaseMachine is a deterministic map from (instance, accuracy,
 answers so far) to either the next query or a final output. Sessions against
@@ -34,6 +38,7 @@ from .errors import (
     StructureError,
 )
 from .qsim import (
+    READOUT_PRUNE_TOL,
     BranchTree,
     Circuit,
     apply_step_unitary,
@@ -75,55 +80,73 @@ def oracle_sample(circuit: Circuit, rng: np.random.Generator) -> OracleOutput:
         state = apply_step_unitary(state, step, n)
         u, state, _ = measure_first(state, step.measure, n, rng)
         v = readout_dist(state, n).sample(rng)
-        # the readout must extend the collapsing outcome
-        assert v[:step.measure] == u, "readout disagrees with its branch"
+        if v[:step.measure] != u:
+            raise RuntimeError("readout disagrees with its branch")
         reads.append(v)
     return OracleOutput(reads=tuple(reads))
 
 
-def oracle_sample_many(circuit: Circuit, shots: int,
-                       rng: np.random.Generator) -> list[OracleOutput]:
-    """Vectorized oracle calls sharing one simulation per branch prefix.
+def oracle_read_codes(circuit: Circuit, shots: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Batched oracle calls as basis indices, one simulation per branch prefix.
 
-    Walks the measurement tree once, splitting the shot population
-    multinomially at each collapse using freshly computed Born weights, and
-    drawing all readouts for a group at once. The per-shot law is identical
-    to ``oracle_sample``; only the bookkeeping is batched.
+    Returns an int64 array of shape (shots, T) whose row i holds shot i's T
+    full-width readouts as basis indices (qubit 0 is the high bit). Walks
+    the measurement tree once, splitting the shot population multinomially
+    at each collapse using freshly computed Born weights, and drawing all
+    readouts for a group at once. The per-shot law is identical to
+    ``oracle_sample``; only the bookkeeping is batched.
     """
+    if shots < 0:
+        raise StructureError(f"shots must be nonnegative, got {shots}")
     n = circuit.qubits
-    out: list[list[str] | None] = [None] * shots
-    groups = [(initial_state(n), list(range(shots)), [])]
-    for step in circuit.steps:
+    reads = np.empty((shots, circuit.depth), dtype=np.int64)
+    # the splits keep every group's shots a contiguous row range [lo, hi)
+    groups = [(initial_state(n), 0, shots)]
+    for t, step in enumerate(circuit.steps):
+        m = step.measure
         next_groups = []
-        for state, members, prefix in groups:
+        outcomes, sizes = [], []
+        for state, lo, hi in groups:
             evolved = apply_step_unitary(state, step, n)
-            m = step.measure
             if m == 0:
-                splits = [("", evolved, members)]
+                splits = [(0, evolved, lo, hi)]
             else:
                 probs = np.clip(outcome_probs(evolved, m, n), 0.0, None)
                 probs = probs / probs.sum()
-                counts = rng.multinomial(len(members), probs)
+                counts = rng.multinomial(hi - lo, probs)
                 splits = []
-                start = 0
-                for idx, cnt in enumerate(counts):
+                for idx, cnt in enumerate(counts.tolist()):
                     if cnt == 0:
                         continue
                     post, _ = project_first(evolved, m, idx, n)
-                    splits.append((format(idx, f"0{m}b"), post,
-                                   members[start:start + cnt]))
-                    start += cnt
-            for u, post, sub in splits:
-                dist = readout_dist(post, n)
-                for shot, v in zip(sub, dist.sample_many(rng, len(sub))):
-                    row = out[shot]
-                    if row is None:
-                        row = []
-                        out[shot] = row
-                    row.append(v)
-                next_groups.append((post, sub, prefix + [u]))
+                    splits.append((idx, post, lo, lo + cnt))
+                    lo += cnt
+            for idx, post, start, stop in splits:
+                born = np.abs(post) ** 2
+                support = np.flatnonzero(born > READOUT_PRUNE_TOL)
+                w = born[support]
+                picks = rng.choice(len(support), size=stop - start,
+                                   p=w / w.sum())
+                reads[start:stop, t] = support[picks]
+                outcomes.append(idx)
+                sizes.append(stop - start)
+                next_groups.append((post, start, stop))
         groups = next_groups
-    return [OracleOutput(reads=tuple(row)) for row in out]
+        # every readout must extend its branch's collapsing outcome
+        if m and not np.array_equal(reads[:, t] >> (n - m),
+                                    np.repeat(outcomes, sizes)):
+            raise RuntimeError(
+                f"a step-{t + 1} readout disagrees with its branch")
+    return reads
+
+
+def oracle_sample_many(circuit: Circuit, shots: int,
+                       rng: np.random.Generator) -> list[OracleOutput]:
+    """``oracle_read_codes`` with each readout formatted as a bit string."""
+    fmt = f"0{circuit.qubits}b"
+    return [OracleOutput(reads=tuple(format(v, fmt) for v in row))
+            for row in oracle_read_codes(circuit, shots, rng).tolist()]
 
 
 def _guard_output_bits(circuit: Circuit, what: str):

@@ -195,3 +195,24 @@ def test_help_and_missing_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["run-oracle", "--circuit", "{circuit}", "--mode", "sample", "--seed",
+     "1", "--shots", "0"],
+    ["run-oracle", "--circuit", "{circuit}", "--mode", "sample", "--seed",
+     "1", "--shots", "-1"],
+    ["run-reduction", "--primitive", "mac", "--params", "n=2,lm=2",
+     "--seed", "1", "--trials", "0"],
+    ["run-dcr", "--scheme", "{scheme}", "--mode", "sample", "--seed", "1",
+     "--shots", "0"],
+])
+def test_counts_below_one_are_input_errors(argv, bell_file, scheme_file,
+                                           tmp_path, capsys):
+    argv = [a.format(circuit=bell_file, scheme=scheme_file) for a in argv]
+    out = tmp_path / "never.json"
+    assert run(argv, str(out)) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()

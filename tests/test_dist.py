@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from ncmlab.dist import (
     FiniteDist,
     condition,
     empirical,
+    empirical_codes,
     marginal,
     mixture,
     product,
@@ -117,6 +121,29 @@ def test_sd_length_mismatch_is_structural():
         sd(FiniteDist({"0": 1.0}), FiniteDist({"00": 1.0}))
 
 
+def test_sd_does_not_depend_on_the_string_hash_seed():
+    # Reports carry sd values, and equal configurations must give equal
+    # bytes in every process, whatever PYTHONHASHSEED is.
+    script = (
+        "import numpy as np\n"
+        "from ncmlab.dist import FiniteDist, sd\n"
+        "rng = np.random.default_rng(4)\n"
+        "def law():\n"
+        "    w = rng.random(64) * (rng.random(64) < 0.7)\n"
+        "    return FiniteDist({format(i, '06b'): v for i, v in\n"
+        "                       enumerate(w / w.sum())})\n"
+        "print(repr(sum(sd(law(), law()) for _ in range(20))))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    outs = set()
+    for hash_seed in ("0", "1", "2", "3"):
+        env["PYTHONHASHSEED"] = hash_seed
+        outs.add(subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True,
+                                check=True).stdout)
+    assert len(outs) == 1
+
+
 def test_sampling_deterministic_for_fixed_seed():
     d = FiniteDist({"00": 0.5, "01": 0.25, "10": 0.125, "11": 0.125})
     runs = []
@@ -147,6 +174,36 @@ def test_empirical_counts():
         empirical([])
     with pytest.raises(StructureError):
         empirical(["0", "00"])
+
+
+@pytest.mark.parametrize("width,fields,high", [
+    (1, 1, 2), (3, 2, 8), (4, 3, 3), (12, 2, 1 << 12), (5, 4, 32)])
+def test_empirical_codes_equals_empirical_of_strings(width, fields, high):
+    rng = np.random.default_rng(width * 10 + fields)
+    rows = rng.integers(0, high, size=(5000, fields))
+    strings = ["".join(format(v, f"0{width}b") for v in row)
+               for row in rows.tolist()]
+    coded = empirical_codes(rows, width)
+    plain = empirical(strings)
+    assert coded.shots == plain.shots == 5000
+    assert coded.counts == plain.counts
+    assert list(coded.counts) == sorted(plain.counts)
+    assert coded.to_dist().to_json() == plain.to_dist().to_json()
+
+
+def test_empirical_codes_rejects_bad_input():
+    with pytest.raises(StructureError):
+        empirical_codes(np.empty((0, 2), dtype=np.int64), 3)
+    with pytest.raises(StructureError):
+        empirical_codes(np.zeros((4, 0), dtype=np.int64), 3)
+    with pytest.raises(StructureError):
+        empirical_codes(np.zeros(4, dtype=np.int64), 3)
+    with pytest.raises(StructureError):
+        empirical_codes(np.array([[0, 8]]), 3)
+    with pytest.raises(StructureError):
+        empirical_codes(np.array([[0, -1]]), 3)
+    with pytest.raises(StructureError):
+        empirical_codes(np.array([[0.0, 1.0]]), 3)
 
 
 def test_json_round_trip():

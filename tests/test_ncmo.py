@@ -1,6 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
+import ncmlab.cli as cli
+import ncmlab.ncmo as ncmo
 from ncmlab.dist import FiniteDist, condition, empirical, product, push_forward, sd
 from ncmlab.errors import (
     ImpossibleConditionError,
@@ -20,6 +24,7 @@ from ncmlab.ncmo import (
     exact_oracle_backend_law,
     oracle_backend,
     oracle_exact,
+    oracle_read_codes,
     oracle_sample,
     oracle_sample_many,
     q1,
@@ -35,9 +40,15 @@ from ncmlab.qsim import (
     Circuit,
     Gate,
     Step,
+    apply_step_unitary,
     bell_circuit,
+    circuit_to_json,
     enumerate_branches,
+    initial_state,
+    outcome_probs,
+    project_first,
     random_circuit,
+    readout_dist,
 )
 
 ATOL = 1e-9
@@ -291,3 +302,109 @@ def test_family_reference_check():
     assert fam.circuit_for("0") is c
     with pytest.raises(StructureError):
         fam.instance_law(2)
+
+
+# -- batched sampling against the string walk ---------------------------------
+
+def _reference_reads(circuit, shots, rng):
+    """The string walk that oracle_read_codes replaced, kept as the
+    reference: one multinomial per collapse, then one readout_dist
+    sample_many per group, rows of bit strings."""
+    n = circuit.qubits
+    out = [[] for _ in range(shots)]
+    groups = [(initial_state(n), list(range(shots)))]
+    for step in circuit.steps:
+        next_groups = []
+        for state, members in groups:
+            evolved = apply_step_unitary(state, step, n)
+            m = step.measure
+            if m == 0:
+                splits = [(evolved, members)]
+            else:
+                probs = np.clip(outcome_probs(evolved, m, n), 0.0, None)
+                probs = probs / probs.sum()
+                counts = rng.multinomial(len(members), probs)
+                splits, start = [], 0
+                for idx, cnt in enumerate(counts):
+                    if cnt == 0:
+                        continue
+                    post, _ = project_first(evolved, m, idx, n)
+                    splits.append((post, members[start:start + cnt]))
+                    start += cnt
+            for post, sub in splits:
+                reads = readout_dist(post, n).sample_many(rng, len(sub))
+                for shot, v in zip(sub, reads):
+                    out[shot].append(v)
+                next_groups.append((post, sub))
+        groups = next_groups
+    return [tuple(row) for row in out]
+
+
+def _reference_circuits(count=24):
+    rng = np.random.default_rng(20261018)
+    return [random_circuit(rng, max_qubits=4, max_steps=3)
+            for _ in range(count)]
+
+
+def test_batched_reads_equal_the_string_walk():
+    circuits = _reference_circuits()
+    # the seeded set covers the corners the walk treats specially
+    assert any(c.qubits == 1 for c in circuits)
+    assert any(c.depth == 3 for c in circuits)
+    assert any(s.measure == 0 for c in circuits for s in c.steps)
+    assert any(s.measure == c.qubits for c in circuits for s in c.steps)
+    for i, c in enumerate(circuits):
+        want = _reference_reads(c, 700, np.random.default_rng(i))
+        got = oracle_sample_many(c, 700, np.random.default_rng(i))
+        assert [o.reads for o in got] == want
+        codes = oracle_read_codes(c, 700, np.random.default_rng(i))
+        assert codes.dtype == np.int64 and codes.shape == (700, c.depth)
+        assert codes.tolist() == [[int(v, 2) for v in row] for row in want]
+
+
+def test_read_codes_shot_counts():
+    c = bell_circuit(measure_first_step=1, extra_steps=1)
+    assert oracle_read_codes(c, 0, np.random.default_rng(1)).shape == (0, 2)
+    assert oracle_sample_many(c, 0, np.random.default_rng(1)) == []
+    with pytest.raises(StructureError):
+        oracle_read_codes(c, -1, np.random.default_rng(1))
+
+
+def test_branch_invariant_raises_without_asserts(monkeypatch):
+    # With collapse bypassed, reads stop extending their branch outcome; the
+    # check must raise, not assert, so it survives python -O.
+    c = bell_circuit(measure_first_step=1, extra_steps=0)
+    monkeypatch.setattr(ncmo, "project_first",
+                        lambda amps, m, idx, n: (amps, 1.0))
+    with pytest.raises(RuntimeError):
+        oracle_read_codes(c, 200, np.random.default_rng(3))
+    monkeypatch.setattr(ncmo, "measure_first",
+                        lambda amps, m, n, rng: ("0" * m, amps, 1.0))
+    rng = np.random.default_rng(3)
+    with pytest.raises(RuntimeError):
+        for _ in range(200):
+            oracle_sample(c, rng)
+
+
+def test_run_oracle_sample_report_matches_the_string_walk(tmp_path):
+    for i, c in enumerate(_reference_circuits(8)):
+        path = tmp_path / f"c{i}.json"
+        path.write_text(json.dumps(circuit_to_json(c)))
+        out = tmp_path / f"r{i}.json"
+        argv = ["run-oracle", "--circuit", str(path), "--mode", "sample",
+                "--shots", "3000", "--seed", str(i), "--out", str(out)]
+        assert cli.main(argv) == 0
+        reads = _reference_reads(c, 3000, np.random.default_rng(i))
+        emp = empirical(["".join(r) for r in reads]).to_dist()
+        exact = oracle_exact(c)
+        check = cli._chk("oracle/sampling-tv[3000 shots]", sd(emp, exact),
+                         5.0 * (len(exact) / 3000) ** 0.5)
+        report = cli._report(
+            "run-oracle",
+            {"circuit": str(path), "mode": "sample", "seed": i,
+             "shots": 3000},
+            [check],
+            {"qubits": c.qubits, "steps": c.depth,
+             "empirical": emp.to_json(), "exact_comparison": True})
+        want = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert out.read_text(encoding="utf-8") == want
