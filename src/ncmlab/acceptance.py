@@ -70,9 +70,7 @@ from .primitives import (
     com_break_exact,
     com_break_via_collision,
     com_to_dcrpuzz,
-    mac_break_exact,
     mac_break_via_collision,
-    mac_to_dcrpuzz,
     toy_mac,
 )
 
@@ -243,11 +241,9 @@ def criterion_6(seed: int = BASE_SEED) -> list[Check]:
 def criterion_7(seed: int = BASE_SEED) -> list[Check]:
     rng = np.random.default_rng(seed + 7)
     mac = toy_mac(4, 4, rng)
-    scheme = mac_to_dcrpuzz(mac)
-    exact = mac_break_exact(mac, scheme)
-    report = mac_break_via_collision(mac, 10_000, rng, scheme=scheme)
+    report = mac_break_via_collision(mac, 10_000, rng)
     return [
-        _leq("mac/exact-forgery-win-hits-15-16", abs(exact - 0.9375),
+        _leq("mac/exact-forgery-win-hits-15-16", abs(report.exact - 0.9375),
              EXACT_TOL),
         _leq("mac/empirical-win[1e4 trials]", abs(report.rate - 0.9375),
              0.02),
@@ -256,12 +252,10 @@ def criterion_7(seed: int = BASE_SEED) -> list[Check]:
 
 def criterion_8(seed: int = BASE_SEED) -> list[Check]:
     com = ToyCommitment(3, 1, balanced_table(3, 1))
-    coherent = com_to_dcrpuzz(com, "coherent")
-    exact = com_break_exact(com, coherent)
-    target = 0.5 * both_parity_mass(com)
     rng = np.random.default_rng(seed + 8)
-    report = com_break_via_collision(com, 10_000, rng, form="coherent",
-                                     scheme=coherent)
+    report = com_break_via_collision(com, 10_000, rng, form="coherent")
+    exact = report.exact
+    target = 0.5 * both_parity_mass(com)
     literal = com_break_exact(com, com_to_dcrpuzz(com, "literal"))
     return [
         _leq("commitment/exact-win-is-half-the-both-parity-mass",

@@ -22,8 +22,9 @@ import time
 import numpy as np
 
 from . import __version__
-from .acceptance import BASE_SEED, Check, SUITES, run_suite
-from .dist import FiniteDist, check_bits, empirical, empirical_codes, sd
+from .acceptance import BASE_SEED, EXACT_TOL, Check, SUITES, run_suite
+from .acceptance import _leq as _chk
+from .dist import EmpiricalDist, FiniteDist, check_bits, empirical_codes, sd
 from .errors import (
     ImpossibleConditionError,
     InstanceTooLargeError,
@@ -46,12 +47,8 @@ from .primitives import (
     ToyCommitment,
     balanced_table,
     both_parity_mass,
-    com_break_exact,
     com_break_via_collision,
-    com_to_dcrpuzz,
-    mac_break_exact,
     mac_break_via_collision,
-    mac_to_dcrpuzz,
     toy_commitment,
     toy_mac,
 )
@@ -60,8 +57,6 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 2
 EXIT_INPUT_ERROR = 3
 EXIT_CAP_EXCEEDED = 4
-
-EXACT_TOL = 1e-9
 
 
 class _UsageError(Exception):
@@ -73,12 +68,6 @@ class _Parser(argparse.ArgumentParser):
     # reserves for check failures
     def error(self, message):
         raise _UsageError(message)
-
-
-def _chk(name: str, value: float, tol: float) -> Check:
-    value = float(value)
-    tol = float(tol)
-    return Check(name=name, value=value, tolerance=tol, passed=value <= tol)
 
 
 def _positive_int(raw: str) -> int:
@@ -154,18 +143,27 @@ def _parse_params(raw: str | None) -> dict:
         key, value = key.strip(), value.strip()
         if not key:
             raise ParseError(f"parameter {part!r} has an empty name")
-        out[key] = int(value) if value.lstrip("-").isdigit() else value
+        out[key] = value
     return out
 
 
 def _take_params(params: dict, allowed: dict) -> dict:
+    """Defaults overridden by params; a value takes its default's type."""
     unknown = set(params) - set(allowed)
     if unknown:
         raise ParseError(
             f"unknown parameters {sorted(unknown)}; "
             f"this reduction takes {sorted(allowed)}")
     merged = dict(allowed)
-    merged.update(params)
+    for key, value in params.items():
+        if isinstance(allowed[key], int):
+            try:
+                value = int(value)
+            except ValueError:
+                raise ParseError(
+                    f"parameter {key} must be an integer, not {value!r}"
+                ) from None
+        merged[key] = value
     return merged
 
 
@@ -266,10 +264,9 @@ def _cmd_run_reduction(args) -> dict:
             raise ParseError("the mac reduction has no --variant")
         p = _take_params(params, {"n": 4, "lm": 4})
         mac = toy_mac(p["n"], p["lm"], rng)
-        scheme = mac_to_dcrpuzz(mac)
-        exact = mac_break_exact(mac, scheme)
+        game = mac_break_via_collision(mac, trials, rng)
+        exact = game.exact
         target = 1.0 - 2.0 ** -p["lm"]
-        game = mac_break_via_collision(mac, trials, rng, scheme=scheme)
         checks.append(_chk("mac/exact-win-hits-closed-form",
                            abs(exact - target), EXACT_TOL))
         checks.append(_chk(f"mac/empirical-win[{trials} trials]",
@@ -289,8 +286,9 @@ def _cmd_run_reduction(args) -> dict:
         com = toy_commitment(p["n"], p["c"], rng)
     else:
         raise ParseError(f"table must be balanced or random, not {p['table']!r}")
-    scheme = com_to_dcrpuzz(com, variant)
-    exact = com_break_exact(com, scheme)
+    game = com_break_via_collision(com, trials, rng, form=variant)
+    exact = game.exact
+    parity_mass = both_parity_mass(com)
     if variant == "coherent":
         # two independent openings drawn inside one digest class
         total = 1 << (2 * com.n)
@@ -303,18 +301,16 @@ def _cmd_run_reduction(args) -> dict:
         if p["table"] == "balanced":
             checks.append(_chk(
                 "commitment/exact-win-is-half-the-both-parity-mass",
-                abs(exact - 0.5 * both_parity_mass(com)), EXACT_TOL))
+                abs(exact - 0.5 * parity_mass), EXACT_TOL))
     else:
         checks.append(_chk("commitment/literal-form-win-is-exactly-zero",
                            exact, 0.0))
-    game = com_break_via_collision(com, trials, rng, form=variant,
-                                   scheme=scheme)
     checks.append(_chk(f"commitment/empirical-win[{trials} trials]",
                        abs(game.rate - exact), emp_tol))
     payload = {"exact_win": exact, "trials": trials,
                "successes": game.successes, "rate": game.rate,
                "hiding_sd": com.hiding_sd(),
-               "both_parity_mass": both_parity_mass(com)}
+               "both_parity_mass": parity_mass}
     config = {"primitive": "commitment", "variant": variant, "params": p,
               "trials": trials, "seed": seed}
     return _report("run-reduction", config, checks, payload)
@@ -356,11 +352,21 @@ def _cmd_run_dcr(args) -> dict:
             seed = _require_seed(args)
             rng = np.random.default_rng(seed)
             sampler = ColSampler(scheme, pp)
-            draws = [sampler.sample(rng).flat() for _ in range(args.shots)]
+            # each triple folded into one code, so one 1-D sort counts them
+            span = len(sampler.answers)
+            puzz, ans, ans2 = sampler.draw(rng, args.shots)
+            codes, counts = np.unique((puzz * span + ans) * span + ans2,
+                                      return_counts=True)
+            emp = EmpiricalDist(
+                counts={sampler.puzzles[code // (span * span)]
+                        + sampler.answers[code // span % span]
+                        + sampler.answers[code % span]: c
+                        for code, c in zip(codes.tolist(), counts.tolist())},
+                shots=args.shots)
             tol = 5.0 * (len(law) / args.shots) ** 0.5
             checks.append(_chk(
                 f"dcr/sampled-collision-tv[pp={pp or 'e'}, {args.shots} shots]",
-                sd(empirical(draws).to_dist(), law), tol))
+                sd(emp.to_dist(), law), tol))
         rows.append(row)
     if worst_gap is not None:
         checks.append(_chk("dcr/oracle-pipeline-reproduces-collisions",

@@ -39,6 +39,17 @@ from .qsim import (
 )
 
 MAX_COL_SUPPORT = 1 << 20
+STATE_ATOM_TOL = 1e-14  # Born weights at or below this are not atoms
+
+
+def born_weights(amps: np.ndarray) -> np.ndarray:
+    """Born weights of an amplitude vector, with every weight at or below
+    STATE_ATOM_TOL set to zero: the atoms of a state-backed sampler law."""
+    # the same roundings as the scalar (a.conjugate() * a).real; numpy's
+    # vectorized complex product differs in the last bit on complex entries
+    born = amps.real * amps.real + amps.imag * amps.imag
+    born[born <= STATE_ATOM_TOL] = 0.0
+    return born
 
 
 @dataclass(frozen=True)
@@ -104,12 +115,11 @@ class DcrScheme:
 
     def _law_of_state(self, amps: np.ndarray) -> FiniteDist:
         n = self.qubits
-        probs = {}
-        for i, a in enumerate(amps):
-            p = (a.conjugate() * a).real
-            if p > 1e-14:
-                probs[format(i, f"0{n}b")] = p
-        full = FiniteDist(probs, _validate=False)
+        born = born_weights(amps)
+        atoms = np.flatnonzero(born)
+        full = FiniteDist({format(i, f"0{n}b"): p for i, p in
+                           zip(atoms.tolist(), born[atoms].tolist())},
+                          _validate=False)
         if self.junk_len == 0:
             return full
         return marginal(full, range(self.puzz_len + self.ans_len))
@@ -178,23 +188,88 @@ def col_sample(scheme: DcrScheme, pp: str,
     return CollisionTriple(puzz=puzz, ans=ans, ans2=ans2)
 
 
+_ROW_CUM = np.dtype([("row", np.int64), ("cum", np.float64)])
+
+
 class ColSampler:
-    """Repeated collision draws with the per-puzzle conditionals cached."""
+    """Batched collision draws from one sampler law.
+
+    The law is held in rows, one per puzzle with positive mass, each row
+    listing its answers in order with their joint masses. A draw takes
+    three uniforms per trial, in the order (puzzle, answer, answer'), and
+    inverts each through a sequential cumulative sum, exactly as
+    ``FiniteDist.sample`` does on the puzzle marginal and on the
+    puzzle's conditional; so the same generator gives the same triples as
+    three scalar draws per trial.
+
+    Built from a scheme, puzzles and answers are numbered by their place in
+    ``puzzles`` and ``answers`` (sorted bit strings). Built with
+    ``from_table``, they are the registers' integer codes, and those two
+    lists are None.
+    """
 
     def __init__(self, scheme: DcrScheme, pp: str):
-        groups = _group_by_puzz(scheme.samp_law(pp), scheme.puzz_len)
-        marg = {puzz: sum(g.values()) for puzz, g in groups.items()}
-        self._marg = FiniteDist(marg, _validate=False)
-        self._conds = {
-            puzz: FiniteDist({a: w / marg[puzz] for a, w in g.items()},
-                             _validate=False)
-            for puzz, g in groups.items()}
+        law = scheme.samp_law(pp)
+        p = scheme.puzz_len
+        keys = law.support
+        self.puzzles = sorted({k[:p] for k in keys})
+        self.answers = sorted({k[p:] for k in keys})
+        row = {s: i for i, s in enumerate(self.puzzles)}
+        col = {s: j for j, s in enumerate(self.answers)}
+        self._setup(np.array([row[k[:p]] for k in keys], dtype=np.int64),
+                    np.array([col[k[p:]] for k in keys], dtype=np.int64),
+                    np.array([law.prob(k) for k in keys]))
 
-    def sample(self, rng: np.random.Generator) -> CollisionTriple:
-        puzz = self._marg.sample(rng)
-        cond = self._conds[puzz]
-        return CollisionTriple(puzz=puzz, ans=cond.sample(rng),
-                               ans2=cond.sample(rng))
+    @classmethod
+    def from_table(cls, table: np.ndarray) -> "ColSampler":
+        """Sampler of a dense law: ``table[puzz, ans]`` is the joint mass
+        at those register codes, and zero entries are not atoms."""
+        if table.ndim != 2:
+            raise StructureError(
+                f"law table must be (puzzles, answers), not {table.shape}")
+        self = cls.__new__(cls)
+        self.puzzles = self.answers = None
+        rows, cols = np.nonzero(table > 0.0)
+        self._setup(rows, cols, table[rows, cols])
+        return self
+
+    def _setup(self, rows: np.ndarray, cols: np.ndarray, w: np.ndarray):
+        """rows, cols: atom coordinates in (row, col) order; w: masses."""
+        if len(w) == 0:
+            raise StructureError("sampler law has empty support")
+        starts = np.flatnonzero(np.concatenate(
+            ([True], rows[1:] != rows[:-1])))
+        self._ends = np.append(starts[1:], len(w))
+        self._puzz = rows[starts]
+        self._cols = cols
+        # per-row masses and conditional cumsums, both summed left to
+        # right, the order of the scalar sampler's Python sums
+        marg = np.empty(len(starts))
+        self._atoms = np.empty(len(w), dtype=_ROW_CUM)
+        self._atoms["row"] = rows
+        for r, (s, e) in enumerate(zip(starts.tolist(),
+                                       self._ends.tolist())):
+            seg = w[s:e]
+            marg[r] = np.cumsum(seg)[-1]
+            self._atoms["cum"][s:e] = np.cumsum(seg / marg[r])
+        self._marg_cum = np.cumsum(marg)
+
+    def draw(self, rng: np.random.Generator,
+             trials: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(puzz, ans, ans') index arrays of ``trials`` collision draws."""
+        u = rng.random(3 * trials).reshape(trials, 3)
+        cum = self._marg_cum
+        row = np.minimum(np.searchsorted(cum, u[:, 0] * cum[-1],
+                                         side="right"), len(cum) - 1)
+        last = self._ends[row][:, None] - 1
+        # one lexicographic search over (row, cumsum) pairs places every
+        # answer inside its own row, by the scalar search's comparisons
+        query = np.empty((trials, 2), dtype=_ROW_CUM)
+        query["row"] = self._puzz[row][:, None]
+        query["cum"] = u[:, 1:] * self._atoms["cum"][last]
+        at = np.searchsorted(self._atoms, query, side="right")
+        ans = self._cols[np.minimum(at, last)]
+        return self._puzz[row], ans[:, 0], ans[:, 1]
 
 
 def col(scheme: DcrScheme, pp: str, mode: str = "exact",

@@ -17,26 +17,40 @@ bit and attaches a fresh uniform bit to the answer, the coherent one
 superposes both bit values before the digest is measured. The collision
 attack succeeds only against the coherent form, and that gap is preserved
 here as a documented behavior, not smoothed over.
+
+Both toys carry integer game tables, built once per instance and indexed by
+the registers' big-endian codes: for the tag scheme the sampler law
+P[vk, m, sigma] and the verification table V[vk, m, sigma]; for the
+commitment the receiver's table ok[y, b || key], read against the Born law
+P[y, b || key] of a sampler form's state. Exact game values are sums over
+these arrays, and a collision attack draws all its trials in one
+``ColSampler.draw`` batch and scores them in one comparison. The bit-string
+methods (``sign_law``, ``ver``, ``r2``) remain the single-call interface.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import FiniteDist, push_forward, sd
+from .dist import FiniteDist, check_bits, push_forward, sd
 from .errors import (
     ImpossibleConditionError,
+    InstanceTooLargeError,
     RetryBudgetExceededError,
     StructureError,
 )
-from .dcrpuzz import ColSampler, DcrScheme, _group_by_puzz, col_law
+from .dcrpuzz import ColSampler, DcrScheme, born_weights
 from .ncmo import DEFAULT_RETRY_BUDGET
 
 MAX_MAC_QUBITS = 6
 MAX_COM_QUBITS = 4
+
+# set-bit counts of the codes below 2^MAX_MAC_QUBITS
+_POPCOUNT = np.array([bin(i).count("1") for i in range(1 << MAX_MAC_QUBITS)])
 
 
 @dataclass(frozen=True)
@@ -65,6 +79,26 @@ def bits(k: int) -> list[str]:
     return [format(i, f"0{k}b") for i in range(1 << k)]
 
 
+def _check_qubits(n: int, low: int, cap: int):
+    if n > cap:
+        raise InstanceTooLargeError(f"n={n} is past the {cap}-qubit cap")
+    if n < low:
+        raise StructureError(f"n must be {low}..{cap}")
+
+
+def _codes(table: dict[str, str], width: int) -> np.ndarray:
+    """The table as an array: entry i is the code of the value at key i."""
+    out = np.empty(1 << width, dtype=np.int64)
+    for key, value in table.items():
+        out[int(check_bits(key), 2)] = int(check_bits(value), 2)
+    return out
+
+
+def _seq_last(a: np.ndarray) -> np.ndarray:
+    """Sums along the last axis, added left to right."""
+    return np.cumsum(a, axis=-1)[..., -1]
+
+
 # -- the signing toy ------------------------------------------------------------
 
 class ToyMac:
@@ -79,8 +113,7 @@ class ToyMac:
     """
 
     def __init__(self, n: int, lm: int, table: dict[str, str]):
-        if not 1 <= n <= MAX_MAC_QUBITS:
-            raise StructureError(f"n must be 1..{MAX_MAC_QUBITS}")
+        _check_qubits(n, 1, MAX_MAC_QUBITS)
         if not 1 <= lm <= n:
             raise StructureError("message length must be 1..n")
         if len(table) != 1 << (2 * n):
@@ -94,6 +127,30 @@ class ToyMac:
         self.preimages: dict[str, list[tuple[str, str]]] = {}
         for key, vk in table.items():
             self.preimages.setdefault(vk, []).append((key[:n], key[n:]))
+        # vk_codes[k]: the verification key's code at key code k = x || theta
+        self.vk_codes = _codes(table, 2 * n)
+
+    @functools.cached_property
+    def law(self) -> np.ndarray:
+        """P[vk, m, sigma]: the derived scheme's sampler law, as codes.
+
+        Key and message are uniform; a signature is valid when it matches
+        x wherever m and theta agree, and weighs 2^-(free positions).
+        """
+        n, lm = self.n, self.lm
+        w = _sign_weights(n, lm, np.arange(1 << lm))
+        w *= 2.0 ** -(2 * n + lm)
+        law = np.zeros((1 << (2 * n), 1 << lm, 1 << lm))
+        # one block add per key; np.add.at is five times slower at n=6
+        for k, vk in enumerate(self.vk_codes.tolist()):
+            law[vk] += w[k]
+        return law
+
+    @functools.cached_property
+    def accepts(self) -> np.ndarray:
+        """V[vk, m, sigma]: ``ver`` as a table. A signature verifies when
+        some preimage of vk signs it, which is where the law is positive."""
+        return self.law > 0.0
 
     def gen(self, rng: np.random.Generator) -> tuple[str, tuple[str, str]]:
         """(vk, signing key); the signing key is the encoded pair."""
@@ -140,8 +197,23 @@ class ToyMac:
         return False
 
 
+def _sign_weights(n: int, lm: int, messages: np.ndarray) -> np.ndarray:
+    """w[k, i, sigma]: probability that signing messages[i] under key code
+    k = x || theta reads sigma. Codes are big-endian, like the strings."""
+    keys = np.arange(1 << (2 * n))
+    x = (keys >> (2 * n - lm)).astype(np.uint16)
+    theta = ((keys >> (n - lm)) & ((1 << lm) - 1)).astype(np.uint16)
+    agree = ~(messages.astype(np.uint16)[None, :] ^ theta[:, None])
+    agree &= np.uint16((1 << lm) - 1)
+    free = lm - _POPCOUNT[agree]
+    sigma = np.arange(1 << lm, dtype=np.uint16)
+    valid = ((sigma ^ x[:, None, None]) & agree[:, :, None]) == 0
+    return np.where(valid, np.ldexp(1.0, -free)[:, :, None], 0.0)
+
+
 def toy_mac(n: int, lm: int, rng: np.random.Generator) -> ToyMac:
     from .dcrpuzz import random_function_table
+    _check_qubits(n, 1, MAX_MAC_QUBITS)
     return ToyMac(n, lm, random_function_table(rng, 2 * n, 2 * n))
 
 
@@ -153,50 +225,41 @@ def mac_to_dcrpuzz(mac: ToyMac) -> DcrScheme:
     is the trivial point; the scheme object carries the table.
     """
     n, lm = mac.n, mac.lm
-    key_w = 1.0 / (1 << (2 * n))
-    m_w = 1.0 / (1 << lm)
-    probs: dict[str, float] = {}
-    for key, vk in mac.table.items():
-        x, theta = key[:n], key[n:]
-        for m in bits(lm):
-            for sigma, p in mac.sign_law(x, theta, m).items():
-                flat = vk + m + sigma
-                probs[flat] = probs.get(flat, 0.0) + key_w * m_w * p
-    law = FiniteDist(probs, _validate=False)
+    flat = mac.law.reshape(-1)
+    atoms = np.flatnonzero(flat)
+    width = 2 * n + 2 * lm
+    law = FiniteDist({format(i, f"0{width}b"): p for i, p in
+                      zip(atoms.tolist(), flat[atoms].tolist())},
+                     _validate=False)
     return DcrScheme(puzz_len=2 * n, ans_len=2 * lm,
                      setup=FiniteDist.point(""), samp_laws={"": law})
 
 
-def mac_break_exact(mac: ToyMac, scheme: DcrScheme | None = None) -> float:
+def mac_break_exact(mac: ToyMac) -> float:
     """Exact probability that an honest collision wins the forgery game.
 
     The game hands over (vk, m, sigma, m', sigma') and pays out when both
     pairs verify and the messages differ. Working per verification key
     keeps the quadratic pairing implicit: with q(m) the verified mass at
-    message m, the win given vk is (sum q)^2 - sum q^2.
+    message m, the win given vk is (sum q)^2 - sum q^2. Every sum runs left
+    to right in code order, the order of the atoms in the scheme's law.
     """
-    scheme = scheme or mac_to_dcrpuzz(mac)
-    groups = _group_by_puzz(scheme.samp_law(""), scheme.puzz_len)
-    lm = mac.lm
-    win = 0.0
-    for vk, g in groups.items():
-        mass = sum(g.values())
-        per_m: dict[str, float] = {}
-        total = 0.0
-        for ans, joint in g.items():
-            m, sigma = ans[:lm], ans[lm:]
-            if mac.ver(vk, m, sigma):
-                p = joint / mass
-                per_m[m] = per_m.get(m, 0.0) + p
-                total += p
-        win += mass * (total ** 2 - sum(v * v for v in per_m.values()))
-    return win
+    law = mac.law.reshape(len(mac.law), -1)
+    ok = mac.accepts.reshape(law.shape)
+    present = np.flatnonzero(law.any(axis=1))
+    terms = []
+    # a few hundred keys at a time bounds the temporaries at n=6
+    for rows in np.array_split(present, -(-len(present) // 512)):
+        mass = _seq_last(law[rows])
+        q = np.where(ok[rows], law[rows], 0.0) / mass[:, None]
+        per_m = _seq_last(q.reshape(len(rows), 1 << mac.lm, -1))
+        terms.append(mass * (_seq_last(q) ** 2 - _seq_last(per_m * per_m)))
+    return float(_seq_last(np.concatenate(terms)))
 
 
 def mac_break_via_collision(mac: ToyMac, trials: int,
                             rng: np.random.Generator,
-                            source: str = "col",
-                            scheme: DcrScheme | None = None) -> GameReport:
+                            source: str = "col") -> GameReport:
     """Play the forgery game with collision answers.
 
     source 'col' draws honest collisions; 'duplicate' reuses one honest
@@ -204,21 +267,16 @@ def mac_break_via_collision(mac: ToyMac, trials: int,
     """
     if source not in ("col", "duplicate"):
         raise StructureError(f"unknown collision source {source!r}")
-    scheme = scheme or mac_to_dcrpuzz(mac)
-    sampler = ColSampler(scheme, "")
     lm = mac.lm
-    successes = 0
-    for _ in range(trials):
-        triple = sampler.sample(rng)
-        ans2 = triple.ans if source == "duplicate" else triple.ans2
-        m0, s0 = triple.ans[:lm], triple.ans[lm:]
-        m1, s1 = ans2[:lm], ans2[lm:]
-        if (m0 != m1 and mac.ver(triple.puzz, m0, s0)
-                and mac.ver(triple.puzz, m1, s1)):
-            successes += 1
-    exact = mac_break_exact(mac, scheme) if source == "col" else 0.0
+    law = mac.law.reshape(len(mac.law), -1)
+    ok = mac.accepts.reshape(law.shape)
+    vk, ans, ans2 = ColSampler.from_table(law).draw(rng, trials)
+    if source == "duplicate":
+        ans2 = ans
+    wins = ((ans >> lm) != (ans2 >> lm)) & ok[vk, ans] & ok[vk, ans2]
+    exact = mac_break_exact(mac) if source == "col" else 0.0
     return GameReport(game=f"mac-forgery[{source}]", trials=trials,
-                      successes=successes, exact=exact)
+                      successes=int(wins.sum()), exact=exact)
 
 
 def algorithm_c_mac(mac: ToyMac, rng: np.random.Generator,
@@ -270,22 +328,11 @@ def naive_forge_win_exact(mac: ToyMac) -> float:
     """A classical forger: measure the signing key once in the computational
     basis and submit that readout under two fixed distinct messages."""
     n, lm = mac.n, mac.lm
-    m0 = "0" * lm
-    m1 = "1" + "0" * (lm - 1)
-    key_w = 1.0 / (1 << (2 * n))
-    win = 0.0
-    for key, vk in mac.table.items():
-        x, theta = key[:n], key[n:]
-        free = [i for i in range(lm) if theta[i] == "1"]
-        reads = itertools.product("01", repeat=len(free))
-        for choice in reads:
-            sigma = list(x[:lm])
-            for i, b in zip(free, choice):
-                sigma[i] = b
-            s = "".join(sigma)
-            if mac.ver(vk, m0, s) and mac.ver(vk, m1, s):
-                win += key_w / (1 << len(free))
-    return win
+    m0, m1 = 0, 1 << (lm - 1)
+    # reading every qubit in the computational basis signs the message 0..0
+    reads = _sign_weights(n, lm, np.array([m0]))[:, 0]
+    both = mac.accepts[mac.vk_codes, m0] & mac.accepts[mac.vk_codes, m1]
+    return float(np.sum(reads * both)) * 2.0 ** (-2 * n)
 
 
 # -- the commitment toy ------------------------------------------------------------
@@ -300,8 +347,7 @@ class ToyCommitment:
     """
 
     def __init__(self, n: int, c: int, table: dict[str, str]):
-        if not 2 <= n <= MAX_COM_QUBITS:
-            raise StructureError(f"n must be 2..{MAX_COM_QUBITS}")
+        _check_qubits(n, 2, MAX_COM_QUBITS)
         if not 1 <= c < n:
             raise StructureError("compression must be 1..n-1")
         if len(table) != 1 << (2 * n):
@@ -317,6 +363,17 @@ class ToyCommitment:
         for key, y in table.items():
             pair = self.classes.setdefault(y, ([], []))
             pair[int(key[0])].append(key)
+        # digest_codes[k]: the digest's code at key code k
+        self.digest_codes = _codes(table, 2 * n)
+
+    @functools.cached_property
+    def opens(self) -> np.ndarray:
+        """ok[y, b || key]: ``r2`` as a table over digest and answer codes.
+        An opening passes when key hashes to y and its first bit is b."""
+        keys = np.arange(1 << (2 * self.n))
+        ok = np.zeros((1 << self.digest_len, 2, len(keys)), dtype=bool)
+        ok[self.digest_codes, keys >> (2 * self.n - 1), keys] = True
+        return ok.reshape(1 << self.digest_len, -1)
 
     @property
     def digest_len(self) -> int:
@@ -356,6 +413,7 @@ class ToyCommitment:
 
 def toy_commitment(n: int, c: int, rng: np.random.Generator) -> ToyCommitment:
     from .dcrpuzz import random_function_table
+    _check_qubits(n, 2, MAX_COM_QUBITS)
     return ToyCommitment(n, c, random_function_table(rng, 2 * n, n - c))
 
 
@@ -370,6 +428,7 @@ def balanced_table(n: int, c: int) -> dict[str, str]:
     is the shape under which the coherent collision attack's success rate
     collapses to the closed form (1/2) * Pr[digest has both parities].
     """
+    _check_qubits(n, 2, MAX_COM_QUBITS)
     if not 1 <= c < n:
         raise StructureError("compression must be 1..n-1")
     digests = bits(n - c)
@@ -403,74 +462,74 @@ def com_to_dcrpuzz(com: ToyCommitment, form: str) -> DcrScheme:
     form commits to 0 and pairs the opening with an independent uniform
     bit, which is the direct reading of running the sender once.
     """
+    return DcrScheme(puzz_len=com.digest_len, ans_len=1 + 2 * com.n,
+                     setup=FiniteDist.point(""),
+                     states={"": _com_state(com, form)})
+
+
+def _com_state(com: ToyCommitment, form: str) -> np.ndarray:
+    """The sampler state of ``com_to_dcrpuzz``, as amplitudes."""
     n = com.n
-    qubits = com.digest_len + 1 + 2 * n
-    amp = 1.0 / (1 << n)
-    amps = np.zeros(1 << qubits, dtype=complex)
     if form == "coherent":
-        for key, y in com.table.items():
-            amps[int(y + key[0] + key, 2)] = amp
+        keys = np.arange(1 << (2 * n))
+        bit = keys >> (2 * n - 1)             # the bit rides on the key
     elif form == "literal":
-        for key, y in com.table.items():
-            if key[0] != "0":
-                continue
-            for b in "01":
-                amps[int(y + b + key, 2)] = amp
+        zeros = np.arange(1 << (2 * n - 1))   # the keys whose first bit is 0
+        keys, bit = np.tile(zeros, 2), np.repeat([0, 1], len(zeros))
     else:
         raise StructureError(f"unknown sampler form {form!r}")
-    return DcrScheme(puzz_len=com.digest_len, ans_len=1 + 2 * n,
-                     setup=FiniteDist.point(""), states={"": amps})
+    amps = np.zeros(1 << (com.digest_len + 1 + 2 * n), dtype=complex)
+    amps[(com.digest_codes[keys] << (1 + 2 * n)) | (bit << (2 * n)) | keys] = (
+        1.0 / (1 << n))
+    return amps
+
+
+def _com_law(com: ToyCommitment, amps: np.ndarray) -> np.ndarray:
+    """P[y, b || key], the Born law of a sampler state over digest and
+    answer codes."""
+    return born_weights(amps).reshape(1 << com.digest_len, -1)
 
 
 def both_parity_mass(com: ToyCommitment, form: str = "coherent") -> float:
     """Probability that the sampled digest has preimages of both parities."""
-    scheme_law = com_to_dcrpuzz(com, form).samp_law("")
-    y_law = push_forward(scheme_law, lambda s: s[:com.digest_len])
-    return sum(p for y, p in y_law.items()
-               if com.preimage_list(y, 0) and com.preimage_list(y, 1))
+    law = _com_law(com, _com_state(com, form))
+    both = com.opens.reshape(len(law), 2, -1).any(axis=2).all(axis=1)
+    return float(law[both].sum())
 
 
 def com_break_exact(com: ToyCommitment, scheme: DcrScheme) -> float:
     """Exact probability that an honest collision opens both ways.
 
     Success means the two answers carry different bits and each opening
-    passes the receiver's check.
+    passes the receiver's check. With A_b(y) the mass of digest y's
+    passing answers of bit b and m(y) the digest's mass, that is
+    sum_y 2 A_0(y) A_1(y) / m(y).
     """
-    law = col_law(scheme, "")
-    p, a = scheme.puzz_len, scheme.ans_len
-    win = 0.0
-    for flat, w in law.items():
-        y = flat[:p]
-        b0, s0 = flat[p], flat[p + 1:p + a]
-        b1, s1 = flat[p + a], flat[p + a + 1:]
-        if (b0 != b1 and com.r2(y, s0, int(b0))
-                and com.r2(y, s1, int(b1))):
-            win += w
-    return win
+    law = _com_law(com, scheme.state(""))
+    passing = (law * com.opens).reshape(len(law), 2, -1).sum(axis=2)
+    mass = law.sum(axis=1)
+    seen = mass > 0.0
+    return float(np.sum(2.0 * passing[seen, 0] * passing[seen, 1]
+                        / mass[seen]))
 
 
 def com_break_via_collision(com: ToyCommitment, trials: int,
                             rng: np.random.Generator,
                             form: str = "coherent",
-                            source: str = "col",
-                            scheme: DcrScheme | None = None) -> GameReport:
+                            source: str = "col") -> GameReport:
     if source not in ("col", "duplicate"):
         raise StructureError(f"unknown collision source {source!r}")
-    scheme = scheme or com_to_dcrpuzz(com, form)
-    sampler = ColSampler(scheme, "")
-    p = scheme.puzz_len
-    successes = 0
-    for _ in range(trials):
-        triple = sampler.sample(rng)
-        ans2 = triple.ans if source == "duplicate" else triple.ans2
-        b0, s0 = triple.ans[0], triple.ans[1:]
-        b1, s1 = ans2[0], ans2[1:]
-        if (b0 != b1 and com.r2(triple.puzz, s0, int(b0))
-                and com.r2(triple.puzz, s1, int(b1))):
-            successes += 1
+    scheme = com_to_dcrpuzz(com, form)
+    half = 2 * com.n
+    law = _com_law(com, scheme.state(""))
+    y, ans, ans2 = ColSampler.from_table(law).draw(rng, trials)
+    if source == "duplicate":
+        ans2 = ans
+    ok = com.opens
+    wins = ((ans >> half) != (ans2 >> half)) & ok[y, ans] & ok[y, ans2]
     exact = com_break_exact(com, scheme) if source == "col" else 0.0
     return GameReport(game=f"commitment-binding[{form},{source}]",
-                      trials=trials, successes=successes, exact=exact)
+                      trials=trials, successes=int(wins.sum()), exact=exact)
 
 
 def algorithm_c_com(com: ToyCommitment, rng: np.random.Generator,

@@ -216,3 +216,37 @@ def test_counts_below_one_are_input_errors(argv, bell_file, scheme_file,
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("primitive,params,code", [
+    ("mac", "n=x", 3),
+    ("mac", "n=true", 3),
+    ("mac", "lm=1.5", 3),
+    ("commitment", "c=x", 3),
+    ("commitment", "n=2.0,table=random", 3),
+    ("mac", "n=0", 3),
+    ("commitment", "n=1,table=random", 3),
+    ("mac", "n=7", 4),
+    ("mac", "n=50,lm=1", 4),
+    ("commitment", "n=5", 4),
+    ("commitment", "n=5,table=random", 4),
+    ("commitment", "n=40,c=1", 4),
+])
+def test_reduction_params_exit_codes(primitive, params, code, tmp_path,
+                                     capsys):
+    out = tmp_path / "never.json"
+    assert run(["run-reduction", "--primitive", primitive, "--params",
+                params, "--trials", "50", "--seed", "1"], str(out)) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_reduction_integer_params_stay_integers_in_the_report(tmp_path):
+    out = tmp_path / "mac.json"
+    assert run(["run-reduction", "--primitive", "mac", "--params",
+                "n=2, lm=+1", "--trials", "50", "--seed", "1"],
+               str(out)) == 0
+    assert json.loads(out.read_text())["config"]["params"] == {"n": 2,
+                                                               "lm": 1}
