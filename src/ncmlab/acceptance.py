@@ -171,15 +171,14 @@ def criterion_3(seed: int = BASE_SEED) -> list[Check]:
     worst_top = 0.0
     worst_bottom = 0.0
     for x, circuit in _corpus(seed + 3):
-        tree = enumerate_branches(circuit)
-        genuine = oracle_exact(circuit, tree)
+        genuine = oracle_exact(circuit)
         for kind in ENDPOINT_ADVERSARIES:
             adv = step_adversary(kind)
-            top = hybrid_b_law(circuit.depth, x, circuit, adv, tree)
+            top = hybrid_b_law(circuit.depth, x, circuit, adv)
             worst_top = max(worst_top, sd(top, genuine))
-            bottom = hybrid_b_law(0, x, circuit, adv, tree)
+            bottom = hybrid_b_law(0, x, circuit, adv)
             worst_bottom = max(worst_bottom,
-                               sd(bottom, q_star_law(x, circuit, adv, tree)))
+                               sd(bottom, q_star_law(x, circuit, adv)))
     return [
         _leq("hybrid/full-chain-equals-oracle[20x4]", worst_top, EXACT_TOL),
         _leq("hybrid/empty-chain-equals-guess-machine[20x4]",

@@ -206,9 +206,9 @@ def _cmd_run_oracle(args) -> dict:
     checks: list[Check] = []
     payload: dict = {"qubits": circuit.qubits, "steps": circuit.depth}
     if args.mode == "exact":
-        tree = enumerate_branches(circuit)
-        law = oracle_exact(circuit, tree)
-        mass = abs(sum(leaf.prob for leaf in tree.leaves()) - 1.0)
+        leaves = enumerate_branches(circuit).leaves()
+        mass = abs(sum(leaf.prob for leaf in leaves) - 1.0)
+        law = oracle_exact(circuit)
         checks.append(_chk("oracle/branch-mass-deficit", mass, EXACT_TOL))
         payload["law"] = law.to_json()
         return _report("run-oracle", config, checks, payload)

@@ -158,12 +158,10 @@ def _guard_output_bits(circuit: Circuit, what: str):
             f"(q_t, q1, q2) instead.")
 
 
-def oracle_exact(circuit: Circuit,
-                 tree: BranchTree | None = None) -> FiniteDist:
+def oracle_exact(circuit: Circuit) -> FiniteDist:
     """Exact joint law of (v_1, ..., v_T), concatenated."""
     _guard_output_bits(circuit, "oracle_exact")
-    if tree is None:
-        tree = enumerate_branches(circuit)
+    tree = enumerate_branches(circuit)
     parts = []
     for leaf in tree.leaves():
         readouts = [node.readout for node in tree.path(leaf.outcomes)]
@@ -192,15 +190,16 @@ def suffix_readout(node_readout: FiniteDist, m: int) -> FiniteDist:
     return push_forward(node_readout, lambda s: s[m:])
 
 
+# q_t_law, q1_law and q2_law take an optional third argument that is not
+# read, so callers that still pass the circuit's tree keep working; every
+# law reads the circuit's one cached tree
 def q_t_law(circuit: Circuit, t: int,
             tree: BranchTree | None = None) -> FiniteDist:
     """Exact law of tau_t || w_t, transcripts flattened."""
     _check_step_index(circuit, t)
-    if tree is None:
-        tree = enumerate_branches(circuit)
     m = circuit.steps[t - 1].measure
     parts = []
-    for node in tree.nodes_at(t):
+    for node in enumerate_branches(circuit).nodes_at(t):
         flat = "".join(node.outcomes)
         w = suffix_readout(node.readout, m)
         parts.append((node.prob, push_forward(w, lambda s, f=flat: f + s)))
@@ -223,9 +222,7 @@ def q1_law(circuit: Circuit, tau: Transcript,
            tree: BranchTree | None = None) -> FiniteDist:
     """Exact law of the remaining collapsing outcomes u_{t+1}..u_T given tau."""
     _validate_transcript(circuit, tau)
-    if tree is None:
-        tree = enumerate_branches(circuit)
-    base = tree.node(tuple(tau))
+    base = enumerate_branches(circuit).node(tuple(tau))
     out: dict[str, float] = {}
 
     def walk(node, acc):
@@ -243,9 +240,7 @@ def q2_law(circuit: Circuit, tau: Transcript,
            tree: BranchTree | None = None) -> FiniteDist:
     """Exact law of w_1..w_t given tau: independent readouts along the path."""
     _validate_transcript(circuit, tau)
-    if tree is None:
-        tree = enumerate_branches(circuit)
-    nodes = tree.path(tuple(tau))
+    nodes = enumerate_branches(circuit).path(tuple(tau))
     return product([
         suffix_readout(node.readout, circuit.steps[i].measure)
         for i, node in enumerate(nodes)])
@@ -303,8 +298,7 @@ def q2(circuit: Circuit, tau: Transcript, rng: np.random.Generator,
         return tuple(reads[i][circuit.steps[i].measure:] for i in range(t))
     if policy != "exact":
         raise StructureError(f"unknown policy {policy!r}")
-    tree = enumerate_branches(circuit)
-    nodes = tree.path(tuple(tau))
+    nodes = enumerate_branches(circuit).path(tuple(tau))
     ws = []
     for i, node in enumerate(nodes):
         m = circuit.steps[i].measure

@@ -58,7 +58,6 @@ from .ncmo import (
     suffix_readout,
 )
 from .qsim import (
-    BranchTree,
     Circuit,
     apply_step_unitary,
     enumerate_branches,
@@ -91,25 +90,13 @@ class StepAdversary:
         return self.law(x, circuit, t, tau).sample(rng)
 
 
-def _tree_for(circuit: Circuit, cache: dict) -> BranchTree:
-    tree = cache.get(id(circuit))
-    if tree is None or tree.circuit is not circuit:
-        tree = enumerate_branches(circuit)
-        cache[id(circuit)] = tree
-    return tree
-
-
 class PerfectAdversary(StepAdversary):
     """Answers with the exact conditional of w_t given the transcript."""
 
     kind = "perfect"
 
-    def __init__(self):
-        self._trees: dict = {}
-
     def law(self, x, circuit, t, tau):
-        tree = _tree_for(circuit, self._trees)
-        node = tree.node(tuple(tau))
+        node = enumerate_branches(circuit).node(tuple(tau))
         return suffix_readout(node.readout, circuit.steps[t - 1].measure)
 
 
@@ -194,14 +181,13 @@ def hybrid_b(k: int, x: str, circuit: Circuit, adv: StepAdversary,
     return OracleOutput(reads=tuple(reads))
 
 
-def hybrid_b_law(k: int, x: str, circuit: Circuit, adv: StepAdversary,
-                 tree: BranchTree | None = None) -> FiniteDist:
+def hybrid_b_law(k: int, x: str, circuit: Circuit,
+                 adv: StepAdversary) -> FiniteDist:
     """Exact output law of hybrid B(k), concatenated reads."""
     if not 0 <= k <= circuit.depth:
         raise StructureError(f"hybrid index {k} outside 0..{circuit.depth}")
     _guard_output_bits(circuit, "hybrid_b_law")
-    if tree is None:
-        tree = enumerate_branches(circuit)
+    tree = enumerate_branches(circuit)
     parts = []
     for leaf in tree.leaves():
         path = tree.path(leaf.outcomes)
@@ -223,20 +209,17 @@ def q_star(x: str, circuit: Circuit, adv: StepAdversary,
     return hybrid_b(0, x, circuit, adv, rng)
 
 
-def q_star_law(x: str, circuit: Circuit, adv: StepAdversary,
-               tree: BranchTree | None = None) -> FiniteDist:
-    return hybrid_b_law(0, x, circuit, adv, tree)
+def q_star_law(x: str, circuit: Circuit, adv: StepAdversary) -> FiniteDist:
+    return hybrid_b_law(0, x, circuit, adv)
 
 
-def step_pair_law(x: str, circuit: Circuit, t: int, adv: StepAdversary | None,
-                  tree: BranchTree | None = None) -> FiniteDist:
+def step_pair_law(x: str, circuit: Circuit, t: int,
+                  adv: StepAdversary | None) -> FiniteDist:
     """Law of tau_t || w_t (adv None) or tau_t || A(tau_t) (adv given)."""
-    if tree is None:
-        tree = enumerate_branches(circuit)
     if adv is None:
-        return q_t_law(circuit, t, tree)
+        return q_t_law(circuit, t)
     parts = []
-    for node in tree.nodes_at(t):
+    for node in enumerate_branches(circuit).nodes_at(t):
         flat = "".join(node.outcomes)
         guess = adv.law(x, circuit, t, node.outcomes)
         parts.append((node.prob, push_forward(guess, lambda s, f=flat: f + s)))
@@ -258,14 +241,13 @@ class HybridReport:
 
 def per_step_sd(x: str, circuit: Circuit, adv: StepAdversary) -> HybridReport:
     """Exact hybrid-chain distances; the two gap lists agree entrywise."""
-    tree = enumerate_branches(circuit)
-    laws = [hybrid_b_law(k, x, circuit, adv, tree)
+    laws = [hybrid_b_law(k, x, circuit, adv)
             for k in range(circuit.depth + 1)]
     hybrid_gaps = tuple(sd(laws[t - 1], laws[t])
                         for t in range(1, circuit.depth + 1))
     step_gaps = tuple(
-        sd(step_pair_law(x, circuit, t, None, tree),
-           step_pair_law(x, circuit, t, adv, tree))
+        sd(step_pair_law(x, circuit, t, None),
+           step_pair_law(x, circuit, t, adv))
         for t in range(1, circuit.depth + 1))
     return HybridReport(hybrid_gaps=hybrid_gaps, step_gaps=step_gaps,
                         endpoint_gap=sd(laws[0], laws[-1]))
@@ -342,8 +324,6 @@ class InstancePuzzleSampler(PuzzleSampler):
                           for m in c.measure_widths()))
         self.puzz_len = self.layout.puzz_len
         self.ans_len = self.layout.ans_width
-        self._trees = {x: enumerate_branches(c)
-                       for x, c in self._circuits.items()}
 
     def circuit(self, x: str) -> Circuit:
         return self._circuits[x]
@@ -359,8 +339,10 @@ class InstancePuzzleSampler(PuzzleSampler):
         if len(puzz) != self.puzz_len:
             raise ParseError(f"puzzle has {len(puzz)} bits, layout wants "
                              f"{self.puzz_len}")
-        x = puzz[:lay.x_len]
-        pos = lay.x_len
+        if lay.include_x:
+            x, pos = puzz[:lay.x_len], lay.x_len
+        else:
+            x, pos = self.instances.support[0], 0
         t = int(puzz[pos:pos + T_FIELD_BITS], 2)
         pos += T_FIELD_BITS
         if x not in self._circuits:
@@ -400,7 +382,7 @@ class InstancePuzzleSampler(PuzzleSampler):
         for x in self.instances.support:
             px = self.instances.prob(x)
             c = self._circuits[x]
-            tree = self._trees[x]
+            tree = enumerate_branches(c)
             for t in range(1, c.depth + 1):
                 m = c.steps[t - 1].measure
                 for node in tree.nodes_at(t):
@@ -418,9 +400,8 @@ class InstancePuzzleSampler(PuzzleSampler):
         for x in self.instances.support:
             c = self._circuits[x]
             for t in range(1, c.depth + 1):
-                tree = self._trees[x]
-                honest = step_pair_law(x, c, t, None, tree)
-                guessed = step_pair_law(x, c, t, adv, tree)
+                honest = step_pair_law(x, c, t, None)
+                guessed = step_pair_law(x, c, t, adv)
                 terms[(x, t)] = sd(honest, guessed)
         return terms
 
@@ -451,30 +432,6 @@ class AuxInputPuzzleSampler(InstancePuzzleSampler):
             raise StructureError("aux-input sampler is bound to one instance")
         return (format(t, f"0{T_FIELD_BITS}b")
                 + _flatten_pad(tuple(tau), self.layout.tau_width))
-
-    def decode_puzz(self, puzz):
-        if len(puzz) != self.puzz_len:
-            raise ParseError(f"puzzle has {len(puzz)} bits, layout wants "
-                             f"{self.puzz_len}")
-        t = int(puzz[:T_FIELD_BITS], 2)
-        c = self._circuits[self.x]
-        if not 1 <= t <= c.depth:
-            raise ParseError(f"step field {t} outside 1..{c.depth}")
-        pos = T_FIELD_BITS
-        tau = []
-        for wdt in c.measure_widths()[:t]:
-            tau.append(puzz[pos:pos + wdt])
-            pos += wdt
-        if puzz[pos:].strip("0"):
-            raise ParseError("nonzero padding in puzzle transcript field")
-        return self.x, t, tuple(tau)
-
-
-def samp_from_instance(fam: PdqpInstanceFamily, lam: int,
-                       rng: np.random.Generator,
-                       eps: float = 0.5) -> tuple[str, str]:
-    """One puzzle draw from the instance construction."""
-    return InstancePuzzleSampler(fam, lam, eps).sample(rng)
 
 
 def encode_aux_input(x: str, eps: float) -> str:

@@ -11,7 +11,8 @@ leading m characters.
 Simulation is dense only, with a hard cap of 12 qubits. Branch enumeration
 (the tree of collapsing outcomes) is guarded by a product bound on the
 number of measurement paths, overridable via the NCMO_MAX_BRANCHES
-environment variable.
+environment variable. The tree is expanded once per Circuit object and
+freed with it; every exact law reads that one tree.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 import os
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +77,8 @@ class Gate:
 
     Names: h, x, y, z, s (fixed single-qubit), cnot (control, target),
     swap, cphase (two targets plus theta), u1q (arbitrary 2x2 in ``matrix``),
-    dense (full 2^n x 2^n ``matrix``), prep (amplitude vector in ``matrix``,
-    valid only as the first operation applied to the all-zeros state).
+    prep (amplitude vector in ``matrix``, valid only as the first operation
+    applied to the all-zeros state).
     """
 
     name: str
@@ -93,6 +95,13 @@ class Step:
 
 @dataclass(frozen=True, eq=False)
 class Circuit:
+    """Qubit count and steps, validated on construction.
+
+    A circuit must not be changed after it is built: its branch tree is
+    cached on first use, so a gate matrix mutated in place afterwards is
+    not seen by the cached tree.
+    """
+
     qubits: int
     steps: tuple[Step, ...]
 
@@ -136,11 +145,6 @@ class Circuit:
             if np.asarray(g.matrix).shape != (2, 2):
                 raise StructureError(f"step {t}: u1q matrix must be 2x2")
             _check_unitary(g.matrix, f"step {t} u1q matrix")
-        elif g.name == "dense":
-            if g.matrix is None or np.asarray(g.matrix).shape != (1 << n, 1 << n):
-                raise StructureError(
-                    f"step {t}: dense matrix must be {1 << n}x{1 << n}")
-            _check_unitary(g.matrix, f"step {t} dense matrix")
         elif g.name == "prep":
             amps = np.asarray(g.matrix)
             if amps is None or amps.shape != (1 << n,):
@@ -213,8 +217,6 @@ def apply_gate(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
     if gate.name == "cphase":
         return _apply_cphase(amps, gate.targets[0], gate.targets[1],
                              gate.theta, n)
-    if gate.name == "dense":
-        return np.asarray(gate.matrix, dtype=complex) @ amps
     if gate.name == "prep":
         probe = np.zeros_like(amps)
         probe[0] = 1.0
@@ -329,17 +331,7 @@ class BranchTree:
         return self.nodes_at(self.circuit.depth)
 
     def node(self, tau: tuple[str, ...]) -> BranchNode:
-        cur = self.root
-        for t, u in enumerate(tau, start=1):
-            for child in cur.children:
-                if child.outcomes[-1] == u:
-                    cur = child
-                    break
-            else:
-                raise ImpossibleConditionError(
-                    f"transcript {tau} leaves the branch tree at step {t} "
-                    f"(outcome {u!r})")
-        return cur
+        return self.path(tau)[-1] if tau else self.root
 
     def path(self, tau: tuple[str, ...]) -> list[BranchNode]:
         """Nodes at depths 1..len(tau) along the given transcript."""
@@ -365,13 +357,20 @@ def branch_count_bound(circuit: Circuit) -> int:
     return total
 
 
+# circuit -> root node; nodes hold no reference back to their circuit, so
+# an entry goes when its circuit does
+_ROOTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def enumerate_branches(circuit: Circuit,
                        max_branches: int | None = None) -> BranchTree:
-    """Expand every collapsing outcome path with its post state and readout.
+    """Every collapsing outcome path with its post state and readout.
 
     Branches whose conditional probability falls below BRANCH_PRUNE_TOL are
     dropped; the surviving children of a node carry its full mass up to that
-    pruning. The path-count guard fires before any state is allocated.
+    pruning. The path-count guard is checked on every call, before any
+    state is allocated. The tree is expanded on the first call for a
+    circuit; later calls return the same nodes.
     """
     guard = branch_guard() if max_branches is None else max_branches
     bound = branch_count_bound(circuit)
@@ -379,38 +378,46 @@ def enumerate_branches(circuit: Circuit,
         raise InstanceTooLargeError(
             f"branch enumeration would visit up to {bound} paths, over the "
             f"guard of {guard} (override with NCMO_MAX_BRANCHES)")
-    n = circuit.qubits
-
-    def expand(state: np.ndarray, depth: int, prob: float,
-               outcomes: tuple[str, ...]) -> tuple[BranchNode, ...]:
-        if depth == circuit.depth:
-            return ()
-        step = circuit.steps[depth]
-        evolved = apply_step_unitary(state, step, n)
-        m = step.measure
-        if m == 0:
-            path = outcomes + ("",)
-            return (BranchNode(
-                outcomes=path, prob=prob, state=evolved,
-                readout=readout_dist(evolved, n),
-                children=expand(evolved, depth + 1, prob, path)),)
-        cond = outcome_probs(evolved, m, n)
-        children = []
-        for idx in range(1 << m):
-            if cond[idx] <= BRANCH_PRUNE_TOL:
-                continue
-            post, p = project_first(evolved, m, idx, n)
-            path = outcomes + (format(idx, f"0{m}b"),)
-            children.append(BranchNode(
-                outcomes=path, prob=prob * p, state=post,
-                readout=readout_dist(post, n),
-                children=expand(post, depth + 1, prob * p, path)))
-        return tuple(children)
-
-    state0 = initial_state(n)
-    root = BranchNode(outcomes=(), prob=1.0, state=state0, readout=None,
-                      children=expand(state0, 0, 1.0, ()))
+    root = _ROOTS.get(circuit)
+    if root is None:
+        root = _ROOTS[circuit] = _build_tree(circuit)
     return BranchTree(circuit=circuit, root=root)
+
+
+def _build_tree(circuit: Circuit) -> BranchNode:
+    state0 = initial_state(circuit.qubits)
+    return BranchNode(outcomes=(), prob=1.0, state=state0, readout=None,
+                      children=_expand(circuit, state0, 0, 1.0, ()))
+
+
+def _expand(circuit: Circuit, state: np.ndarray, depth: int, prob: float,
+            outcomes: tuple[str, ...]) -> tuple[BranchNode, ...]:
+    # module level, not a closure: a self-referencing closure would hold
+    # the circuit in a reference cycle and keep its cache entry alive
+    if depth == circuit.depth:
+        return ()
+    n = circuit.qubits
+    step = circuit.steps[depth]
+    evolved = apply_step_unitary(state, step, n)
+    m = step.measure
+    if m == 0:
+        path = outcomes + ("",)
+        return (BranchNode(
+            outcomes=path, prob=prob, state=evolved,
+            readout=readout_dist(evolved, n),
+            children=_expand(circuit, evolved, depth + 1, prob, path)),)
+    cond = outcome_probs(evolved, m, n)
+    children = []
+    for idx in range(1 << m):
+        if cond[idx] <= BRANCH_PRUNE_TOL:
+            continue
+        post, p = project_first(evolved, m, idx, n)
+        path = outcomes + (format(idx, f"0{m}b"),)
+        children.append(BranchNode(
+            outcomes=path, prob=prob * p, state=post,
+            readout=readout_dist(post, n),
+            children=_expand(circuit, post, depth + 1, prob * p, path)))
+    return tuple(children)
 
 
 def run_prefix(circuit: Circuit, t: int,
@@ -495,11 +502,32 @@ def _complex_to_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _pair_to_complex(pair) -> complex:
-    if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-            or not all(isinstance(x, (int, float)) for x in pair)):
-        raise ParseError(f"expected an [re, im] pair, got {pair!r}")
-    return complex(pair[0], pair[1])
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_number(value, what: str) -> float:
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int past float
+        ok = False
+    if not ok:
+        raise ParseError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be an array, got {value!r}")
+    return value
+
+
+def _pair_to_complex(pair, what: str) -> complex:
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ParseError(f"{what} entries must be [re, im] pairs, got {pair!r}")
+    return complex(_json_number(pair[0], what), _json_number(pair[1], what))
 
 
 def _matrix_to_json(mat: np.ndarray) -> list:
@@ -509,12 +537,16 @@ def _matrix_to_json(mat: np.ndarray) -> list:
     return [[_complex_to_pair(z) for z in row] for row in arr]
 
 
-def _matrix_from_json(obj, *, vector: bool) -> np.ndarray:
-    if not isinstance(obj, list) or not obj:
-        raise ParseError("matrix field must be a non-empty array")
+def _matrix_from_json(obj, what: str, *, vector: bool) -> np.ndarray:
+    if not _json_list(obj, what):
+        raise ParseError(f"{what} must be a non-empty array")
     if vector:
-        return np.array([_pair_to_complex(p) for p in obj], dtype=complex)
-    return np.array([[_pair_to_complex(p) for p in row] for row in obj],
+        return np.array([_pair_to_complex(p, what) for p in obj],
+                        dtype=complex)
+    if any(not isinstance(row, list) or len(row) != len(obj[0])
+           for row in obj):
+        raise ParseError(f"{what} must be an array of equal-length rows")
+    return np.array([[_pair_to_complex(p, what) for p in row] for row in obj],
                     dtype=complex)
 
 
@@ -534,13 +566,17 @@ def circuit_to_json(circuit: Circuit) -> dict:
 
 
 def circuit_from_json(obj: dict) -> Circuit:
+    """Parse the circuit JSON format; any schema violation is a ParseError.
+
+    Integer fields must be JSON integers (not booleans or floats), theta a
+    finite number, and matrices arrays of [re, im] pairs.
+    """
     if not isinstance(obj, dict):
         raise ParseError("circuit JSON must be an object")
-    try:
-        qubits = int(obj["qubits"])
-        raw_steps = obj["steps"]
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"circuit JSON missing/bad field: {e}") from e
+    if "qubits" not in obj:
+        raise ParseError("circuit JSON needs a 'qubits' field")
+    qubits = _json_int(obj["qubits"], "'qubits'")
+    raw_steps = obj.get("steps")
     if not isinstance(raw_steps, list) or not raw_steps:
         raise ParseError("circuit JSON needs a non-empty 'steps' array")
     steps = []
@@ -548,22 +584,25 @@ def circuit_from_json(obj: dict) -> Circuit:
         if not isinstance(rs, dict):
             raise ParseError(f"step {i} is not an object")
         gates = []
-        for rg in rs.get("gates", []):
-            if not isinstance(rg, dict) or "name" not in rg:
-                raise ParseError(f"step {i} has a gate without a name")
+        for k, rg in enumerate(
+                _json_list(rs.get("gates", []), f"step {i} 'gates'"), start=1):
+            where = f"step {i} gate {k}"
+            if not isinstance(rg, dict) or not isinstance(rg.get("name"), str):
+                raise ParseError(f"{where} has no name")
             name = rg["name"]
-            targets = tuple(int(q) for q in rg.get("targets", []))
+            targets = tuple(
+                _json_int(q, f"{where} 'targets'")
+                for q in _json_list(rg.get("targets", []), f"{where} 'targets'"))
             matrix = None
             if "matrix" in rg:
-                matrix = _matrix_from_json(rg["matrix"],
+                matrix = _matrix_from_json(rg["matrix"], f"{where} 'matrix'",
                                            vector=(name == "prep"))
-            theta = float(rg["theta"]) if "theta" in rg else None
+            theta = None
+            if "theta" in rg:
+                theta = _json_number(rg["theta"], f"{where} 'theta'")
             gates.append(Gate(name=name, targets=targets, matrix=matrix,
                               theta=theta))
-        try:
-            measure = int(rs.get("measure", 0))
-        except (TypeError, ValueError) as e:
-            raise ParseError(f"step {i} has a bad 'measure' field") from e
+        measure = _json_int(rs.get("measure", 0), f"step {i} 'measure'")
         steps.append(Step(gates=tuple(gates), measure=measure))
     try:
         return Circuit(qubits=qubits, steps=tuple(steps))

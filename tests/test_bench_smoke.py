@@ -1,0 +1,42 @@
+"""Each benchmark workload's warm-up op, run and checked as the benchmark
+does: a change that breaks the calls a workload makes, or moves its exact
+values off ``perfbench/reference.json``, fails here before any timing.
+
+``perfbench/pool.py`` and ``perfbench/ops.py`` are loaded as they are and
+never modified.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy  # noqa: F401  (ops.py reads the imported modules by name)
+import pytest
+
+import ncmlab.cli  # noqa: F401
+import ncmlab.ncmo  # noqa: F401
+import ncmlab.qsim  # noqa: F401
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+pool = _load("pool")
+ops = _load("ops")
+REFERENCE = json.loads((BENCH / "reference.json").read_text())["workloads"]
+
+
+@pytest.mark.parametrize("workload", pool.WORKLOADS)
+def test_warmup_op_passes_against_the_reference(workload, tmp_path):
+    spec = pool.warmup(workload, REFERENCE[workload])
+    spec["fp"] = pool.fingerprint(spec)
+    ops.write_inputs([spec], str(tmp_path))
+    _, raw = ops.execute(spec, 0, str(tmp_path))
+    ops.compare(spec, ops.check(spec, raw), REFERENCE[workload])

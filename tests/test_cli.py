@@ -250,3 +250,51 @@ def test_reduction_integer_params_stay_integers_in_the_report(tmp_path):
                str(out)) == 0
     assert json.loads(out.read_text())["config"]["params"] == {"n": 2,
                                                                "lm": 1}
+
+
+def _one_gate(gate, measure=1):
+    return {"qubits": 2, "steps": [{"gates": [gate], "measure": measure}]}
+
+
+IDENTITY_4 = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
+
+
+@pytest.mark.parametrize("text,field", [
+    (json.dumps(_one_gate({"name": "h", "targets": ["a"]})), "'targets'"),
+    (json.dumps(_one_gate({"name": "h", "targets": [True]})), "'targets'"),
+    (json.dumps(_one_gate({"name": "u1q", "targets": [0],
+                           "matrix": [[[1, 0], [0, 0]], [[0, 0]]]})),
+     "'matrix'"),
+    (json.dumps(_one_gate({"name": "u1q", "targets": [0],
+                           "matrix": [[[1, 0], [0, 0]], 5]})), "'matrix'"),
+    (json.dumps(_one_gate({"name": "cphase", "targets": [0, 1],
+                           "theta": "x"})), "'theta'"),
+    ('{"qubits": 2, "steps": [{"gates": [{"name": "cphase", '
+     '"targets": [0, 1], "theta": NaN}], "measure": 1}]}', "'theta'"),
+    (json.dumps(_one_gate({"name": "cphase", "targets": [0, 1],
+                           "theta": 10 ** 400})), "'theta'"),
+    (json.dumps({"qubits": 2, "steps": [{"gates": 5, "measure": 1}]}),
+     "'gates'"),
+    (json.dumps({"qubits": True, "steps": [{"gates": [], "measure": 0}]}),
+     "'qubits'"),
+    (json.dumps({"qubits": 2.0, "steps": [{"gates": [], "measure": 0}]}),
+     "'qubits'"),
+    (json.dumps(_one_gate({"name": "h", "targets": [0]}, measure=1.9)),
+     "'measure'"),
+    (json.dumps(_one_gate({"name": ["h"], "targets": [0]})), "no name"),
+    (json.dumps(_one_gate({"name": "dense", "targets": [],
+                           "matrix": IDENTITY_4})), "unknown gate 'dense'"),
+], ids=["target-a", "target-true", "ragged-matrix", "matrix-row-5",
+        "theta-x", "theta-nan", "theta-huge", "gates-5", "qubits-true",
+        "qubits-float", "measure-float", "name-list", "dense-gate"])
+def test_malformed_circuit_fields_are_input_errors(text, field, tmp_path,
+                                                   capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    out = tmp_path / "never.json"
+    assert run(["run-oracle", "--circuit", str(path)], str(out)) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err
+    assert not out.exists()
