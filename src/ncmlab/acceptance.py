@@ -53,7 +53,6 @@ from .puzzles import (
     step_adversary,
 )
 from .dcrpuzz import (
-    col_law,
     col_oracle_gap,
     distinct_answer_prob,
     dpp_instance,
@@ -92,10 +91,6 @@ def _leq(name: str, value: float, tol: float) -> Check:
     value = float(value)
     tol = float(tol)
     return Check(name=name, value=value, tolerance=tol, passed=value <= tol)
-
-
-def all_passed(checks: list[Check]) -> bool:
-    return all(c.passed for c in checks)
 
 
 # -- criterion 1: oracle sampling agrees with the exact law --------------------------

@@ -34,7 +34,7 @@ from .errors import (
     StructureError,
 )
 from .ncmo import oracle_exact, oracle_read_codes
-from .qsim import circuit_from_json, enumerate_branches
+from .qsim import circuit_from_json, enumerate_branches, load_json
 from .puzzles import per_step_sd, step_adversary
 from .dcrpuzz import (
     ColSampler,
@@ -87,23 +87,13 @@ def _binomial_tol(trials: int) -> float:
 
 # -- input loading ----------------------------------------------------------------
 
-def _load_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as e:
-        raise ParseError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path} is not valid JSON: {e}") from e
-
-
 def _load_circuit(path: str):
-    return circuit_from_json(_load_json(path))
+    return circuit_from_json(load_json(path))
 
 
 def _load_instance(path: str):
     """Instance file: {"circuit": <circuit object or file name>, "x": bits}."""
-    obj = _load_json(path)
+    obj = load_json(path)
     if not isinstance(obj, dict):
         raise ParseError("instance file must be a JSON object")
     if "circuit" not in obj:

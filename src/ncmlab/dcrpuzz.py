@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import FiniteDist, condition, empirical, marginal, mixture, push_forward, sd
+from .dist import FiniteDist, condition, empirical, marginal, push_forward, sd
 from .errors import InstanceTooLargeError, ParseError, StructureError
 from .ncmo import oracle_exact, oracle_sample
 from .qsim import (
@@ -32,10 +32,13 @@ from .qsim import (
     Circuit,
     Gate,
     Step,
+    _json_int,
+    _json_number,
     apply_step_unitary,
     circuit_from_json,
     circuit_to_json,
     initial_state,
+    load_json,
 )
 
 MAX_COL_SUPPORT = 1 << 20
@@ -502,6 +505,9 @@ def scheme_to_json(scheme: DcrScheme) -> dict:
 
 
 def _law_from_json(obj) -> FiniteDist:
+    if isinstance(obj, dict) and isinstance(obj.get("probs"), dict):
+        for key, p in obj["probs"].items():
+            _json_number(p, f"probability of {key!r}")
     try:
         return FiniteDist.from_json(obj)
     except StructureError as e:
@@ -518,12 +524,11 @@ def scheme_from_json(obj, *, circuit_loader=None) -> DcrScheme:
     """
     if not isinstance(obj, dict):
         raise ParseError("scheme file must hold a JSON object")
-    try:
-        puzz_len = int(obj["puzz_len"])
-        ans_len = int(obj["ans_len"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"scheme needs integer puzz_len and ans_len: {e}") from e
-    junk_len = int(obj.get("junk_len", 0))
+    if "puzz_len" not in obj or "ans_len" not in obj:
+        raise ParseError("scheme needs integer puzz_len and ans_len")
+    puzz_len = _json_int(obj["puzz_len"], "'puzz_len'")
+    ans_len = _json_int(obj["ans_len"], "'ans_len'")
+    junk_len = _json_int(obj.get("junk_len", 0), "'junk_len'")
     source = obj.get("source")
     if not isinstance(source, dict):
         raise ParseError("scheme needs a source object")
@@ -576,22 +581,11 @@ def scheme_from_json(obj, *, circuit_loader=None) -> DcrScheme:
 
 
 def load_scheme(path: str) -> DcrScheme:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"scheme file is not JSON: {e}") from e
-
-    def loader(ref: str):
-        full = os.path.join(os.path.dirname(os.path.abspath(path)), ref)
-        with open(full) as cf:
-            try:
-                raw = json.load(cf)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"circuit file is not JSON: {e}") from e
-        return circuit_from_json(raw)
-
-    return scheme_from_json(obj, circuit_loader=loader)
+    base = os.path.dirname(os.path.abspath(path))
+    return scheme_from_json(
+        load_json(path),
+        circuit_loader=lambda ref: circuit_from_json(
+            load_json(os.path.join(base, ref))))
 
 
 def save_scheme(scheme: DcrScheme, path: str):

@@ -12,6 +12,7 @@ history.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -57,7 +58,8 @@ class FiniteDist:
                 if v < 0.0:
                     raise StructureError(f"negative probability at {k!r}: {v}")
                 total += v
-            if abs(total - 1.0) > VALID_TOL:
+            # a NaN weight makes the total NaN, which no comparison rejects
+            if not math.isfinite(total) or abs(total - 1.0) > VALID_TOL:
                 raise StructureError(f"probabilities sum to {total!r}, not 1")
         self.length = len(items[0][0])
         self._probs = dict(items)
@@ -124,8 +126,8 @@ class FiniteDist:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteDist":
-        if not isinstance(obj, dict) or "probs" not in obj:
-            raise StructureError("distribution JSON needs a 'probs' field")
+        if not isinstance(obj, dict) or not isinstance(obj.get("probs"), dict):
+            raise StructureError("distribution JSON needs a 'probs' object")
         d = cls(obj["probs"])
         declared = obj.get("length")
         if declared is not None and declared != d.length:
@@ -223,9 +225,6 @@ class EmpiricalDist:
             raise StructureError("no samples")
         return FiniteDist(
             {k: c / self.shots for k, c in self.counts.items()})
-
-    def frequency(self, s: str) -> float:
-        return self.counts.get(s, 0) / self.shots
 
 
 def empirical(samples: Iterable[str]) -> EmpiricalDist:

@@ -10,12 +10,19 @@ factors over the collapsing branch:
 
 so reads are conditionally independent given the branch, and v_t always
 begins with u_t. ``oracle_exact`` materializes that law; ``oracle_sample``
-draws from it by direct simulation; ``oracle_read_codes`` draws many calls
+draws from it by direct simulation (``qsim.walk`` for the collapses,
+``qsim.draw_readout`` for each read); ``oracle_read_codes`` draws many calls
 at once and returns their readouts as basis indices, which
 ``dist.empirical_codes`` counts without a string per shot
 (``oracle_sample_many`` formats the same draws as bit strings). ``q_t``,
 ``q1`` and ``q2`` expose the partial views used by the puzzle
 constructions.
+
+Exact laws over the branch tree come from two folds. ``path_fold`` sums,
+over the leaves, Pr[leaf] times the product of one read law per step along
+the leaf's path: ``oracle_exact`` and ``puzzles.hybrid_b_law`` use it.
+``level_fold`` sums, over the step-t nodes, Pr[node] times tau_t joined to
+one law per node: ``q_t_law`` and ``puzzles.step_pair_law`` use it.
 
 Machines: a BaseMachine is a deterministic map from (instance, accuracy,
 answers so far) to either the next query or a final output. Sessions against
@@ -39,16 +46,17 @@ from .errors import (
 )
 from .qsim import (
     READOUT_PRUNE_TOL,
+    BranchNode,
     BranchTree,
     Circuit,
     apply_step_unitary,
+    draw_readout,
     enumerate_branches,
     initial_state,
-    measure_first,
     outcome_probs,
     project_first,
-    readout_dist,
     run_prefix,
+    walk,
 )
 
 MAX_EXACT_OUTPUT_BITS = 20
@@ -73,14 +81,10 @@ def oracle_sample(circuit: Circuit, rng: np.random.Generator) -> OracleOutput:
     Samples the collapsing branch step by step and, after each collapse,
     draws an independent full-width readout of the current state.
     """
-    n = circuit.qubits
-    state = initial_state(n)
     reads = []
-    for step in circuit.steps:
-        state = apply_step_unitary(state, step, n)
-        u, state, _ = measure_first(state, step.measure, n, rng)
-        v = readout_dist(state, n).sample(rng)
-        if v[:step.measure] != u:
+    for u, state in walk(circuit, rng):
+        v = draw_readout(state, circuit.qubits, rng)
+        if not v.startswith(u):
             raise RuntimeError("readout disagrees with its branch")
         reads.append(v)
     return OracleOutput(reads=tuple(reads))
@@ -158,15 +162,31 @@ def _guard_output_bits(circuit: Circuit, what: str):
             f"(q_t, q1, q2) instead.")
 
 
+def path_fold(circuit: Circuit,
+              read_law: Callable[[int, BranchNode], FiniteDist]) -> FiniteDist:
+    """Sum over leaves of Pr[leaf] * (read_law(1, node_1) x ... x
+    read_law(T, node_T)), node_i being the leaf's step-i node."""
+    tree = enumerate_branches(circuit)
+    return mixture(
+        (leaf.prob, product(read_law(i, node) for i, node in
+                            enumerate(tree.path(leaf.outcomes), start=1)))
+        for leaf in tree.leaves())
+
+
+def level_fold(circuit: Circuit, t: int,
+               law_at: Callable[[BranchNode], FiniteDist]) -> FiniteDist:
+    """Sum over step-t nodes of Pr[node] * (tau_t || law_at(node)), the
+    transcript flattened."""
+    return mixture(
+        (node.prob, push_forward(law_at(node),
+                                 lambda s, f="".join(node.outcomes): f + s))
+        for node in enumerate_branches(circuit).nodes_at(t))
+
+
 def oracle_exact(circuit: Circuit) -> FiniteDist:
     """Exact joint law of (v_1, ..., v_T), concatenated."""
     _guard_output_bits(circuit, "oracle_exact")
-    tree = enumerate_branches(circuit)
-    parts = []
-    for leaf in tree.leaves():
-        readouts = [node.readout for node in tree.path(leaf.outcomes)]
-        parts.append((leaf.prob, product(readouts)))
-    return mixture(parts)
+    return path_fold(circuit, lambda i, node: node.readout)
 
 
 # -- partial views ------------------------------------------------------------
@@ -181,8 +201,7 @@ def q_t(circuit: Circuit, t: int,
     """Sample (tau_t, w_t): run t steps, read out, strip the u_t prefix."""
     _check_step_index(circuit, t)
     tau, state = run_prefix(circuit, t, rng)
-    v = readout_dist(state, circuit.qubits).sample(rng)
-    return tau, v[circuit.steps[t - 1].measure:]
+    return tau, draw_readout(state, circuit.qubits, rng)[len(tau[-1]):]
 
 
 def suffix_readout(node_readout: FiniteDist, m: int) -> FiniteDist:
@@ -198,12 +217,7 @@ def q_t_law(circuit: Circuit, t: int,
     """Exact law of tau_t || w_t, transcripts flattened."""
     _check_step_index(circuit, t)
     m = circuit.steps[t - 1].measure
-    parts = []
-    for node in enumerate_branches(circuit).nodes_at(t):
-        flat = "".join(node.outcomes)
-        w = suffix_readout(node.readout, m)
-        parts.append((node.prob, push_forward(w, lambda s, f=flat: f + s)))
-    return mixture(parts)
+    return level_fold(circuit, t, lambda node: suffix_readout(node.readout, m))
 
 
 def _validate_transcript(circuit: Circuit, tau: Transcript):
@@ -299,11 +313,8 @@ def q2(circuit: Circuit, tau: Transcript, rng: np.random.Generator,
     if policy != "exact":
         raise StructureError(f"unknown policy {policy!r}")
     nodes = enumerate_branches(circuit).path(tuple(tau))
-    ws = []
-    for i, node in enumerate(nodes):
-        m = circuit.steps[i].measure
-        ws.append(suffix_readout(node.readout, m).sample(rng))
-    return tuple(ws)
+    return tuple(draw_readout(node.state, circuit.qubits, rng)[len(u):]
+                 for node, u in zip(nodes, tau))
 
 
 # -- machines and sessions ----------------------------------------------------
@@ -425,9 +436,6 @@ class PdqpInstanceFamily:
         if lam not in self.instance_laws:
             raise StructureError(f"no instance law for parameter {lam}")
         return self.instance_laws[lam]
-
-    def sample_instance(self, lam: int, rng: np.random.Generator) -> str:
-        return self.instance_law(lam).sample(rng)
 
     def circuit_for(self, x: str, eps: float = 0.5) -> Circuit:
         move = self.machine.step(x, eps, ())

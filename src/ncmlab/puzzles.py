@@ -36,7 +36,6 @@ from .dist import (
     check_bits,
     condition,
     mixture,
-    product,
     push_forward,
     sd,
 )
@@ -49,22 +48,17 @@ from .ncmo import (
     Transcript,
     _guard_output_bits,
     _rejection_run,
+    level_fold,
     oracle_exact,
     oracle_sample,
+    path_fold,
+    q_t,
     q_t_law,
-    run_prefix,
     run_session,
     session_law,
     suffix_readout,
 )
-from .qsim import (
-    Circuit,
-    apply_step_unitary,
-    enumerate_branches,
-    initial_state,
-    measure_first,
-    readout_dist,
-)
+from .qsim import Circuit, draw_readout, enumerate_branches, walk
 
 T_FIELD_BITS = 8
 
@@ -153,6 +147,9 @@ def step_adversary(kind: str) -> StepAdversary:
     if name == "oblivious":
         return ObliviousAdversary()
     if name == "rejection":
+        if arg and (not arg.isdecimal() or int(arg) < 1):
+            raise StructureError(
+                f"rejection budget must be a positive integer, got {arg!r}")
         return RejectionAdversary(int(arg) if arg else DEFAULT_RETRY_BUDGET)
     if name == "constant":
         return ConstantAdversary(arg or "0")
@@ -166,16 +163,12 @@ def hybrid_b(k: int, x: str, circuit: Circuit, adv: StepAdversary,
     """One draw from hybrid B(k): genuine reads up to k, guesses after."""
     if not 0 <= k <= circuit.depth:
         raise StructureError(f"hybrid index {k} outside 0..{circuit.depth}")
-    n = circuit.qubits
-    state = initial_state(n)
     tau: Transcript = ()
     reads = []
-    for i, step in enumerate(circuit.steps, start=1):
-        state = apply_step_unitary(state, step, n)
-        u, state, _ = measure_first(state, step.measure, n, rng)
+    for i, (u, state) in enumerate(walk(circuit, rng), start=1):
         tau = tau + (u,)
         if i <= k:
-            reads.append(readout_dist(state, n).sample(rng))
+            reads.append(draw_readout(state, circuit.qubits, rng))
         else:
             reads.append(u + adv.guess(x, circuit, i, tau, rng))
     return OracleOutput(reads=tuple(reads))
@@ -187,20 +180,15 @@ def hybrid_b_law(k: int, x: str, circuit: Circuit,
     if not 0 <= k <= circuit.depth:
         raise StructureError(f"hybrid index {k} outside 0..{circuit.depth}")
     _guard_output_bits(circuit, "hybrid_b_law")
-    tree = enumerate_branches(circuit)
-    parts = []
-    for leaf in tree.leaves():
-        path = tree.path(leaf.outcomes)
-        dists = []
-        for i, node in enumerate(path, start=1):
-            if i <= k:
-                dists.append(node.readout)
-            else:
-                u = node.outcomes[-1]
-                guess = adv.law(x, circuit, i, node.outcomes)
-                dists.append(push_forward(guess, lambda s, u=u: u + s))
-        parts.append((leaf.prob, product(dists)))
-    return mixture(parts)
+
+    def read_law(i, node):
+        if i <= k:
+            return node.readout
+        u = node.outcomes[-1]
+        return push_forward(adv.law(x, circuit, i, node.outcomes),
+                            lambda s: u + s)
+
+    return path_fold(circuit, read_law)
 
 
 def q_star(x: str, circuit: Circuit, adv: StepAdversary,
@@ -218,12 +206,17 @@ def step_pair_law(x: str, circuit: Circuit, t: int,
     """Law of tau_t || w_t (adv None) or tau_t || A(tau_t) (adv given)."""
     if adv is None:
         return q_t_law(circuit, t)
-    parts = []
-    for node in enumerate_branches(circuit).nodes_at(t):
-        flat = "".join(node.outcomes)
-        guess = adv.law(x, circuit, t, node.outcomes)
-        parts.append((node.prob, push_forward(guess, lambda s, f=flat: f + s)))
-    return mixture(parts)
+    return level_fold(circuit, t,
+                      lambda node: adv.law(x, circuit, t, node.outcomes))
+
+
+def _step_gaps(x: str, circuit: Circuit,
+               adv: StepAdversary) -> tuple[float, ...]:
+    """SD({tau_t, w_t}, {tau_t, A(tau_t)}) for t = 1..T."""
+    return tuple(
+        sd(step_pair_law(x, circuit, t, None),
+           step_pair_law(x, circuit, t, adv))
+        for t in range(1, circuit.depth + 1))
 
 
 @dataclass(frozen=True)
@@ -245,11 +238,8 @@ def per_step_sd(x: str, circuit: Circuit, adv: StepAdversary) -> HybridReport:
             for k in range(circuit.depth + 1)]
     hybrid_gaps = tuple(sd(laws[t - 1], laws[t])
                         for t in range(1, circuit.depth + 1))
-    step_gaps = tuple(
-        sd(step_pair_law(x, circuit, t, None),
-           step_pair_law(x, circuit, t, adv))
-        for t in range(1, circuit.depth + 1))
-    return HybridReport(hybrid_gaps=hybrid_gaps, step_gaps=step_gaps,
+    return HybridReport(hybrid_gaps=hybrid_gaps,
+                        step_gaps=_step_gaps(x, circuit, adv),
                         endpoint_gap=sd(laws[0], laws[-1]))
 
 
@@ -266,9 +256,6 @@ class PuzzleSampler:
 
     def joint_law(self) -> FiniteDist:
         raise NotImplementedError
-
-    def puzzle_marginal(self) -> FiniteDist:
-        return push_forward(self.joint_law(), lambda s: s[:self.puzz_len])
 
     def conditional(self, puzz: str) -> FiniteDist:
         return condition(self.joint_law(), puzz)
@@ -364,17 +351,10 @@ class InstancePuzzleSampler(PuzzleSampler):
             raise StructureError("answer wider than layout")
         return w + "0" * (self.ans_len - len(w))
 
-    def true_ans_width(self, x: str, t: int) -> int:
-        c = self._circuits[x]
-        return c.qubits - c.steps[t - 1].measure
-
     def sample(self, rng: np.random.Generator) -> tuple[str, str]:
         x = self.instances.sample(rng)
-        c = self._circuits[x]
-        t = int(rng.integers(1, c.depth + 1))
-        tau, state = run_prefix(c, t, rng)
-        v = readout_dist(state, c.qubits).sample(rng)
-        w = v[c.steps[t - 1].measure:]
+        t = int(rng.integers(1, self._circuits[x].depth + 1))
+        tau, w = q_t(self._circuits[x], t, rng)
         return self.encode_puzz(x, t, tau), self.pad_ans(w)
 
     def joint_law(self) -> FiniteDist:
@@ -396,14 +376,9 @@ class InstancePuzzleSampler(PuzzleSampler):
 
     def per_step_terms(self, adv: StepAdversary) -> dict:
         """Exact SD terms of the advantage split by (x, t)."""
-        terms = {}
-        for x in self.instances.support:
-            c = self._circuits[x]
-            for t in range(1, c.depth + 1):
-                honest = step_pair_law(x, c, t, None)
-                guessed = step_pair_law(x, c, t, adv)
-                terms[(x, t)] = sd(honest, guessed)
-        return terms
+        return {(x, t): gap for x in self.instances.support
+                for t, gap in enumerate(_step_gaps(x, self._circuits[x], adv),
+                                        start=1)}
 
 
 class AuxInputPuzzleSampler(InstancePuzzleSampler):
@@ -458,12 +433,6 @@ def parse_aux_input(z: str) -> tuple[str, float]:
     if k == 0:
         raise ParseError("accuracy field is empty")
     return x, 1.0 / k
-
-
-def aux_samp(fam: PdqpInstanceFamily, z: str,
-             rng: np.random.Generator) -> tuple[str, str]:
-    """One puzzle draw from the auxiliary-input construction."""
-    return AuxInputPuzzleSampler(fam, z).sample(rng)
 
 
 # -- puzzle adversaries and advantage ------------------------------------------

@@ -12,12 +12,15 @@ Simulation is dense only, with a hard cap of 12 qubits. Branch enumeration
 (the tree of collapsing outcomes) is guarded by a product bound on the
 number of measurement paths, overridable via the NCMO_MAX_BRANCHES
 environment variable. The tree is expanded once per Circuit object and
-freed with it; every exact law reads that one tree.
+freed with it; every exact law reads that one tree. Single-shot runs go
+through ``walk``, the one loop that evolves and collapses step by step, and
+``draw_readout``, which makes one full-width read of a state.
 """
 
 from __future__ import annotations
 
 import cmath
+import json
 import math
 import os
 import weakref
@@ -299,6 +302,16 @@ def readout_dist(amps: np.ndarray, n: int) -> FiniteDist:
     return FiniteDist(out, _validate=False)
 
 
+def draw_readout(amps: np.ndarray, n: int, rng: np.random.Generator) -> str:
+    """One full-width Born readout of a state: the same draw as
+    ``readout_dist(amps, n).sample(rng)``, without building the law."""
+    born = np.abs(amps) ** 2
+    support = np.flatnonzero(born > READOUT_PRUNE_TOL)
+    cum = np.cumsum(born[support])
+    idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+    return format(int(support[min(idx, len(support) - 1)]), f"0{n}b")
+
+
 # -- branch enumeration -------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -420,18 +433,25 @@ def _expand(circuit: Circuit, state: np.ndarray, depth: int, prob: float,
     return tuple(children)
 
 
+def walk(circuit: Circuit, rng: np.random.Generator, t: int | None = None):
+    """Simulate steps 1..t once (every step by default), sampling each
+    collapsing measurement; yields (u_i, post-measurement state) per step."""
+    n = circuit.qubits
+    state = initial_state(n)
+    for step in circuit.steps[:t]:
+        state = apply_step_unitary(state, step, n)
+        u, state, _ = measure_first(state, step.measure, n, rng)
+        yield u, state
+
+
 def run_prefix(circuit: Circuit, t: int,
                rng: np.random.Generator) -> tuple[tuple[str, ...], np.ndarray]:
     """Simulate steps 1..t once, sampling each collapsing measurement."""
     if not 0 <= t <= circuit.depth:
         raise StructureError(f"prefix length {t} outside 0..{circuit.depth}")
-    n = circuit.qubits
-    state = initial_state(n)
-    outcomes: tuple[str, ...] = ()
-    for step in circuit.steps[:t]:
-        state = apply_step_unitary(state, step, n)
-        u, state, _ = measure_first(state, step.measure, n, rng)
-        outcomes = outcomes + (u,)
+    outcomes, state = (), initial_state(circuit.qubits)
+    for u, state in walk(circuit, rng, t):
+        outcomes += (u,)
     return outcomes, state
 
 
@@ -608,3 +628,14 @@ def circuit_from_json(obj: dict) -> Circuit:
         return Circuit(qubits=qubits, steps=tuple(steps))
     except StructureError as e:
         raise ParseError(f"circuit JSON rejected: {e}") from e
+
+
+def load_json(path: str):
+    """Read one JSON file; a missing or malformed file is a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as e:
+        raise ParseError(f"cannot read {path}: {e}") from e
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path} is not valid JSON: {e}") from e

@@ -298,3 +298,79 @@ def test_malformed_circuit_fields_are_input_errors(text, field, tmp_path,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert field in err
     assert not out.exists()
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("adversary", ["rejection:abc", "rejection:-3",
+                                       "rejection:0", "rejection:1.5"])
+def test_check_hybrid_rejects_bad_rejection_budgets(adversary, instance_file,
+                                                    tmp_path, capsys):
+    out = tmp_path / "never.json"
+    assert run(["check-hybrid", "--instance", instance_file,
+                "--adversary", adversary], str(out)) == 3
+    assert "budget" in _one_line_error(capsys)
+    assert not out.exists()
+    assert run(["check-hybrid", "--instance", instance_file,
+                "--adversary", "rejection:5000"], str(out)) == 0
+
+
+def _law_scheme(**fields):
+    obj = {"puzz_len": 1, "ans_len": 1,
+           "source": {"law": {"length": 2,
+                              "probs": {"00": 0.5, "11": 0.5}}}}
+    obj.update(fields)
+    return obj
+
+
+def _with_probs(probs):
+    return _law_scheme(source={"law": {"length": 2, "probs": probs}})
+
+
+@pytest.mark.parametrize("obj,field", [
+    (_law_scheme(junk_len="x"), "'junk_len'"),
+    (_law_scheme(puzz_len=True), "'puzz_len'"),
+    (_law_scheme(puzz_len="1"), "'puzz_len'"),
+    (_law_scheme(ans_len=1.0), "'ans_len'"),
+    (_with_probs({"00": "x", "11": 0.5}), "probability of '00'"),
+    (_with_probs({"00": "0.5", "11": 0.5}), "probability of '00'"),
+    (_with_probs({"00": float("nan"), "11": 1.0}), "probability of '00'"),
+    (_with_probs({"00": float("inf"), "11": 0.5}), "probability of '00'"),
+    (_with_probs([0.5, 0.5]), "'probs'"),
+    (_with_probs("00"), "'probs'"),
+    (_law_scheme(setup={"probs": {"0": 0.5, "1": None}},
+                 source={"laws": {}}), "probability of '1'"),
+], ids=["junk-x", "puzz-true", "puzz-string", "ans-float", "prob-x",
+        "prob-string", "prob-nan", "prob-inf", "probs-list", "probs-string",
+        "setup-null"])
+def test_malformed_scheme_fields_are_input_errors(obj, field, tmp_path,
+                                                  capsys):
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "never.json"
+    assert run(["run-dcr", "--scheme", str(path)], str(out)) == 3
+    assert field in _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_unreadable_scheme_files_are_input_errors(tmp_path, capsys):
+    out = tmp_path / "never.json"
+    missing = tmp_path / "missing.json"
+    assert run(["run-dcr", "--scheme", str(missing)], str(out)) == 3
+    assert str(missing) in _one_line_error(capsys)
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    assert run(["run-dcr", "--scheme", str(broken)], str(out)) == 3
+    assert str(broken) in _one_line_error(capsys)
+    # a circuit reference is read by the same reader, relative to the scheme
+    ref = tmp_path / "ref.json"
+    ref.write_text(json.dumps(_law_scheme(
+        source={"circuit": "ghost.json", "puzz_register": 1})))
+    assert run(["run-dcr", "--scheme", str(ref)], str(out)) == 3
+    assert str(tmp_path / "ghost.json") in _one_line_error(capsys)
+    assert not out.exists()

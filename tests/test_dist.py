@@ -55,6 +55,17 @@ def test_validity_rejects_bad_input():
         FiniteDist({})                            # empty support
 
 
+def test_validity_rejects_non_finite_weights():
+    # a NaN total compares False against the tolerance, so it needs its own
+    # check
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(StructureError):
+            FiniteDist({"0": bad, "1": 1.0})
+    for probs in ([0.5, 0.5], "01"):
+        with pytest.raises(StructureError):
+            FiniteDist.from_json({"length": 1, "probs": probs})
+
+
 def test_validity_tolerance_boundary():
     FiniteDist({"0": 0.5, "1": 0.5 + 0.9e-9})     # inside 1e-9, accepted
     with pytest.raises(StructureError):

@@ -5,6 +5,7 @@ import pytest
 
 import ncmlab.cli as cli
 import ncmlab.ncmo as ncmo
+import ncmlab.qsim as qsim
 from ncmlab.dist import FiniteDist, condition, empirical, product, push_forward, sd
 from ncmlab.errors import (
     ImpossibleConditionError,
@@ -378,7 +379,7 @@ def test_branch_invariant_raises_without_asserts(monkeypatch):
                         lambda amps, m, idx, n: (amps, 1.0))
     with pytest.raises(RuntimeError):
         oracle_read_codes(c, 200, np.random.default_rng(3))
-    monkeypatch.setattr(ncmo, "measure_first",
+    monkeypatch.setattr(qsim, "measure_first",
                         lambda amps, m, n, rng: ("0" * m, amps, 1.0))
     rng = np.random.default_rng(3)
     with pytest.raises(RuntimeError):
