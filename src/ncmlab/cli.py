@@ -400,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON file with 'circuit' and optional 'x'")
     hybrid.add_argument("--adversary", default="perfect",
                         help="perfect | oblivious | rejection:<budget> | "
-                             "constant:<bit>")
+                             "constant:<bit>; the laws are exact, so "
+                             "rejection:<budget> reports as perfect does")
     hybrid.add_argument("--out", default=None)
     hybrid.set_defaults(fn=_cmd_check_hybrid)
 

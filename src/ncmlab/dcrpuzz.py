@@ -520,7 +520,9 @@ def scheme_from_json(obj, *, circuit_loader=None) -> DcrScheme:
     The source is either {"law": ...} (one pp, possibly named by "pp"),
     {"laws": {pp: ...}} with a "setup" law, or {"circuit": ..., "
     puzz_register": m} where the circuit is a one-step preparation; a
-    string-valued circuit is resolved through circuit_loader.
+    string-valued circuit is resolved through circuit_loader. A "setup"
+    beside "law" or "circuit", a "pp" beside "laws" and a "pp" that is not
+    a bit string are ParseErrors.
     """
     if not isinstance(obj, dict):
         raise ParseError("scheme file must hold a JSON object")
@@ -532,15 +534,21 @@ def scheme_from_json(obj, *, circuit_loader=None) -> DcrScheme:
     source = obj.get("source")
     if not isinstance(source, dict):
         raise ParseError("scheme needs a source object")
-    if "law" in source:
-        pp = obj.get("pp", "")
-        if not isinstance(pp, str):
-            raise ParseError("pp must be a bit string")
-        setup = FiniteDist.point(pp)
+    kind = next((k for k in ("law", "laws", "circuit") if k in source), None)
+    if kind is None:
+        raise ParseError("source must carry 'law', 'laws', or 'circuit'")
+    # a 'laws' source names its pp values in 'setup', the others one in 'pp'
+    stray = "pp" if kind == "laws" else "setup"
+    if stray in obj:
+        raise ParseError(f"{stray!r} does not go with a {kind!r} source")
+    pp = obj.get("pp", "")
+    if not isinstance(pp, str) or not set(pp) <= {"0", "1"}:
+        raise ParseError(f"'pp' must be a bit string, got {pp!r}")
+    if kind == "law":
         return DcrScheme(puzz_len=puzz_len, ans_len=ans_len,
-                         junk_len=junk_len, setup=setup,
+                         junk_len=junk_len, setup=FiniteDist.point(pp),
                          samp_laws={pp: _law_from_json(source["law"])})
-    if "laws" in source:
+    if kind == "laws":
         if "setup" not in obj:
             raise ParseError("multi-pp source needs a setup law")
         setup = _law_from_json(obj["setup"])
@@ -551,33 +559,30 @@ def scheme_from_json(obj, *, circuit_loader=None) -> DcrScheme:
                          junk_len=junk_len, setup=setup,
                          samp_laws={pp: _law_from_json(law)
                                     for pp, law in laws.items()})
-    if "circuit" in source:
-        raw = source["circuit"]
-        if isinstance(raw, str):
-            if circuit_loader is None:
-                raise ParseError("circuit reference needs a loader")
-            circuit = circuit_loader(raw)
-        else:
-            circuit = circuit_from_json(raw)
-        if circuit.depth != 1 or circuit.steps[0].measure != 0:
-            raise ParseError(
-                "scheme circuit must be a single preparation step without "
-                "measurement")
-        reg = source.get("puzz_register")
-        if reg != puzz_len:
-            raise ParseError(
-                f"puzz_register {reg!r} disagrees with puzz_len {puzz_len}")
-        if circuit.qubits != puzz_len + ans_len + junk_len:
-            raise ParseError(
-                f"circuit has {circuit.qubits} qubits, registers want "
-                f"{puzz_len + ans_len + junk_len}")
-        amps = apply_step_unitary(initial_state(circuit.qubits),
-                                  circuit.steps[0], circuit.qubits)
-        pp = obj.get("pp", "")
-        return DcrScheme(puzz_len=puzz_len, ans_len=ans_len,
-                         junk_len=junk_len, setup=FiniteDist.point(pp),
-                         states={pp: amps})
-    raise ParseError("source must carry 'law', 'laws', or 'circuit'")
+    raw = source["circuit"]
+    if isinstance(raw, str):
+        if circuit_loader is None:
+            raise ParseError("circuit reference needs a loader")
+        circuit = circuit_loader(raw)
+    else:
+        circuit = circuit_from_json(raw)
+    if circuit.depth != 1 or circuit.steps[0].measure != 0:
+        raise ParseError(
+            "scheme circuit must be a single preparation step without "
+            "measurement")
+    reg = source.get("puzz_register")
+    if reg != puzz_len:
+        raise ParseError(
+            f"puzz_register {reg!r} disagrees with puzz_len {puzz_len}")
+    if circuit.qubits != puzz_len + ans_len + junk_len:
+        raise ParseError(
+            f"circuit has {circuit.qubits} qubits, registers want "
+            f"{puzz_len + ans_len + junk_len}")
+    amps = apply_step_unitary(initial_state(circuit.qubits),
+                              circuit.steps[0], circuit.qubits)
+    return DcrScheme(puzz_len=puzz_len, ans_len=ans_len,
+                     junk_len=junk_len, setup=FiniteDist.point(pp),
+                     states={pp: amps})
 
 
 def load_scheme(path: str) -> DcrScheme:

@@ -12,8 +12,8 @@ so reads are conditionally independent given the branch, and v_t always
 begins with u_t. ``oracle_exact`` materializes that law; ``oracle_sample``
 draws from it by direct simulation (``qsim.walk`` for the collapses,
 ``qsim.draw_readout`` for each read); ``oracle_read_codes`` draws many calls
-at once and returns their readouts as basis indices, which
-``dist.empirical_codes`` counts without a string per shot
+at once, one ``qsim`` kernel pass per step, and returns their readouts as
+basis indices, which ``dist.empirical_codes`` counts without a string per shot
 (``oracle_sample_many`` formats the same draws as bit strings). ``q_t``,
 ``q1`` and ``q2`` expose the partial views used by the puzzle
 constructions.
@@ -54,7 +54,7 @@ from .qsim import (
     enumerate_branches,
     initial_state,
     outcome_probs,
-    project_first,
+    project,
     run_prefix,
     walk,
 )
@@ -95,48 +95,44 @@ def oracle_read_codes(circuit: Circuit, shots: int,
     """Batched oracle calls as basis indices, one simulation per branch prefix.
 
     Returns an int64 array of shape (shots, T) whose row i holds shot i's T
-    full-width readouts as basis indices (qubit 0 is the high bit). Walks
-    the measurement tree once, splitting the shot population multinomially
-    at each collapse using freshly computed Born weights, and drawing all
-    readouts for a group at once. The per-shot law is identical to
-    ``oracle_sample``; only the bookkeeping is batched.
+    full-width readouts as basis indices (qubit 0 is the high bit). Each
+    step evolves every shot group as one stack, splits each group
+    multinomially at the collapse and draws all of a split's readouts at
+    once. The per-shot law is identical to ``oracle_sample``; only the
+    bookkeeping is batched.
     """
     if shots < 0:
         raise StructureError(f"shots must be nonnegative, got {shots}")
     n = circuit.qubits
     reads = np.empty((shots, circuit.depth), dtype=np.int64)
-    # the splits keep every group's shots a contiguous row range [lo, hi)
-    groups = [(initial_state(n), 0, shots)]
+    if shots == 0:
+        return reads
+    # group g: the state states[g] and the next sizes[g] rows of reads
+    states, sizes = initial_state(n)[None], [shots]
     for t, step in enumerate(circuit.steps):
         m = step.measure
-        next_groups = []
-        outcomes, sizes = [], []
-        for state, lo, hi in groups:
-            evolved = apply_step_unitary(state, step, n)
-            if m == 0:
-                splits = [(0, evolved, lo, hi)]
-            else:
-                probs = np.clip(outcome_probs(evolved, m, n), 0.0, None)
-                probs = probs / probs.sum()
-                counts = rng.multinomial(hi - lo, probs)
-                splits = []
-                for idx, cnt in enumerate(counts.tolist()):
-                    if cnt == 0:
-                        continue
-                    post, _ = project_first(evolved, m, idx, n)
-                    splits.append((idx, post, lo, lo + cnt))
-                    lo += cnt
-            for idx, post, start, stop in splits:
-                born = np.abs(post) ** 2
+        evolved = apply_step_unitary(states, step, n)
+        cond = outcome_probs(evolved, m, n)
+        posts, outcomes, next_sizes, lo = [], [], [], 0
+        for g, size in enumerate(sizes):
+            idx, counts, post = [0], [size], evolved[g:g + 1]
+            if m:
+                probs = np.clip(cond[g], 0.0, None)
+                counts = rng.multinomial(size, probs / probs.sum())
+                idx = np.flatnonzero(counts)
+                counts = counts[idx].tolist()
+                post = project(evolved, m, np.full(len(idx), g), idx, cond)
+            for state, cnt in zip(post, counts):
+                born = np.abs(state) ** 2
                 support = np.flatnonzero(born > READOUT_PRUNE_TOL)
                 w = born[support]
-                picks = rng.choice(len(support), size=stop - start,
-                                   p=w / w.sum())
-                reads[start:stop, t] = support[picks]
-                outcomes.append(idx)
-                sizes.append(stop - start)
-                next_groups.append((post, start, stop))
-        groups = next_groups
+                picks = rng.choice(len(support), size=cnt, p=w / w.sum())
+                reads[lo:lo + cnt, t] = support[picks]
+                lo += cnt
+            posts.append(post)
+            outcomes.extend(idx)
+            next_sizes.extend(counts)
+        states, sizes = np.concatenate(posts), next_sizes
         # every readout must extend its branch's collapsing outcome
         if m and not np.array_equal(reads[:, t] >> (n - m),
                                     np.repeat(outcomes, sizes)):

@@ -8,18 +8,19 @@ qubit 0 is the most significant bit of a basis index, so basis state i
 corresponds to the string format(i, '0nb') and "the first m qubits" are the
 leading m characters.
 
-Simulation is dense only, with a hard cap of 12 qubits. Branch enumeration
-(the tree of collapsing outcomes) is guarded by a product bound on the
-number of measurement paths, overridable via the NCMO_MAX_BRANCHES
-environment variable. The tree is expanded once per Circuit object and
-freed with it; every exact law reads that one tree. Single-shot runs go
-through ``walk``, the one loop that evolves and collapses step by step, and
-``draw_readout``, which makes one full-width read of a state.
+Simulation is dense only, with a hard cap of 12 qubits. One kernel takes a
+state (2^n,) or a stack (k, 2^n) alike: ``apply_step_unitary`` evolves,
+``outcome_probs`` weighs the outcomes and ``project`` collapses. With it the
+branch tree is built one level per step, once per Circuit object (freed
+with it, its path count guarded by NCMO_MAX_BRANCHES); a node's readout law
+is built on first read. ``walk`` runs the kernel on a one-row stack for
+single shots, and ``draw_readout`` makes one full-width read of a state.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 import os
@@ -175,77 +176,82 @@ def initial_state(qubits: int) -> np.ndarray:
 
 
 # -- gate application ---------------------------------------------------------
+# Each takes one state (2^n,) or a stack (k, 2^n), viewed as (k, 2, ..., 2)
+# with qubit q on axis q + 1, and returns the shape it was given.
 
-def _apply_1q(amps: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:
-    t = amps.reshape([2] * n)
-    t = np.moveaxis(t, q, 0)
-    t = (np.asarray(mat, dtype=complex) @ t.reshape(2, -1)).reshape([2] * n)
-    return np.moveaxis(t, 0, q).reshape(-1)
-
-
-def _apply_cnot(amps: np.ndarray, ctrl: int, tgt: int, n: int) -> np.ndarray:
-    t = amps.reshape([2] * n).copy()
-    sel: list = [slice(None)] * n
-    sel[ctrl] = 1
-    sub = t[tuple(sel)]
-    axis = tgt - (1 if ctrl < tgt else 0)
-    t[tuple(sel)] = np.flip(sub, axis=axis)
-    return t.reshape(-1)
+def _apply_1q(states: np.ndarray, mat: np.ndarray, q: int,
+              n: int) -> np.ndarray:
+    t = np.moveaxis(states.reshape((-1,) + (2,) * n), q + 1, 1)
+    # one (2, 2) @ (2, 2^(n-1)) product per state
+    out = np.asarray(mat, dtype=complex) @ t.reshape(len(t), 2, 1 << (n - 1))
+    return np.moveaxis(out.reshape(t.shape), 1, q + 1).reshape(states.shape)
 
 
-def _apply_swap(amps: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
-    t = amps.reshape([2] * n)
-    return np.swapaxes(t, a, b).reshape(-1)
+def _apply_cnot(states: np.ndarray, ctrl: int, tgt: int,
+                n: int) -> np.ndarray:
+    t = states.reshape((-1,) + (2,) * n).copy()
+    sel = (slice(None),) * (ctrl + 1) + (1,)
+    t[sel] = np.flip(t[sel], axis=tgt + (ctrl > tgt))
+    return t.reshape(states.shape)
 
 
-def _apply_cphase(amps: np.ndarray, a: int, b: int, theta: float,
+def _apply_swap(states: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
+    t = states.reshape((-1,) + (2,) * n)
+    return np.swapaxes(t, a + 1, b + 1).reshape(states.shape)
+
+
+def _apply_cphase(states: np.ndarray, a: int, b: int, theta: float,
                   n: int) -> np.ndarray:
-    t = amps.reshape([2] * n).copy()
-    sel: list = [slice(None)] * n
-    sel[a] = 1
-    sel[b] = 1
-    t[tuple(sel)] = t[tuple(sel)] * cmath.exp(1j * theta)
-    return t.reshape(-1)
+    t = states.reshape((-1,) + (2,) * n).copy()
+    sel: list = [slice(None)] * (n + 1)
+    sel[a + 1] = sel[b + 1] = 1
+    sub, phase = t[tuple(sel)], cmath.exp(1j * theta)
+    if n == 2:
+        # one amplitude per state: formed from real and imaginary parts, as
+        # a scalar product rounds (an array product may fuse multiply-add)
+        sub.real, sub.imag = (sub.real * phase.real - sub.imag * phase.imag,
+                              sub.real * phase.imag + sub.imag * phase.real)
+    else:
+        sub *= phase
+    return t.reshape(states.shape)
 
 
-def apply_gate(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
-    if gate.name in FIXED_1Q:
-        return _apply_1q(amps, FIXED_1Q[gate.name], gate.targets[0], n)
-    if gate.name == "u1q":
-        return _apply_1q(amps, gate.matrix, gate.targets[0], n)
+def apply_gate(states: np.ndarray, gate: Gate, n: int) -> np.ndarray:
+    if gate.name in FIXED_1Q or gate.name == "u1q":
+        mat = FIXED_1Q.get(gate.name, gate.matrix)
+        return _apply_1q(states, mat, gate.targets[0], n)
     if gate.name == "cnot":
-        return _apply_cnot(amps, gate.targets[0], gate.targets[1], n)
+        return _apply_cnot(states, *gate.targets, n)
     if gate.name == "swap":
-        return _apply_swap(amps, gate.targets[0], gate.targets[1], n)
+        return _apply_swap(states, *gate.targets, n)
     if gate.name == "cphase":
-        return _apply_cphase(amps, gate.targets[0], gate.targets[1],
-                             gate.theta, n)
+        return _apply_cphase(states, *gate.targets, gate.theta, n)
     if gate.name == "prep":
-        probe = np.zeros_like(amps)
-        probe[0] = 1.0
-        if np.max(np.abs(amps - probe)) > 1e-9:
+        probe = np.zeros_like(states)
+        probe[..., 0] = 1.0
+        if np.any(np.abs(states - probe) > 1e-9):
             raise StructureError(
                 "prep gate is only defined on the all-zeros state")
-        return np.asarray(gate.matrix, dtype=complex).copy()
+        return np.broadcast_to(np.asarray(gate.matrix, dtype=complex),
+                               states.shape).copy()
     raise StructureError(f"unknown gate {gate.name!r}")
 
 
-def apply_step_unitary(amps: np.ndarray, step: Step, n: int) -> np.ndarray:
+def apply_step_unitary(states: np.ndarray, step: Step, n: int) -> np.ndarray:
     for g in step.gates:
-        amps = apply_gate(amps, g, n)
-    return amps
+        states = apply_gate(states, g, n)
+    return states
 
 
 def step_unitary(step: Step, n: int) -> np.ndarray:
     """Dense matrix of a step's unitary; prep gates are completed via QR."""
-    dim = 1 << n
-    mat = np.eye(dim, dtype=complex)
+    mat = np.eye(1 << n, dtype=complex)
     for g in step.gates:
         if g.name == "prep":
             mat = state_prep_unitary(np.asarray(g.matrix, dtype=complex)) @ mat
         else:
-            cols = [apply_gate(mat[:, j].copy(), g, n) for j in range(dim)]
-            mat = np.stack(cols, axis=1)
+            # the columns, evolved as a stack of states
+            mat = apply_gate(mat.T, g, n).T
     return mat
 
 
@@ -262,36 +268,24 @@ def state_prep_unitary(amps: np.ndarray) -> np.ndarray:
 
 # -- measurement and readout --------------------------------------------------
 
-def outcome_probs(amps: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Born probabilities for measuring the first m qubits."""
-    blocks = np.abs(amps.reshape(1 << m, -1)) ** 2
-    return blocks.sum(axis=1)
+def outcome_probs(states: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Born weights of the outcomes of measuring the first m qubits, per
+    state: shape (2^m,) for one state, (k, 2^m) for a stack."""
+    blocks = np.abs(states.reshape(states.shape[:-1] + (1 << m, -1))) ** 2
+    return blocks.sum(axis=-1)
 
 
-def project_first(amps: np.ndarray, m: int, idx: int,
-                  n: int) -> tuple[np.ndarray, float]:
-    """Post-measurement state and probability for outcome index idx."""
-    block = amps.reshape(1 << m, -1)
-    p = float((np.abs(block[idx]) ** 2).sum())
-    if p <= 0.0:
-        raise ImpossibleConditionError(
-            f"outcome {format(idx, f'0{m}b')} has zero probability")
-    post = np.zeros_like(amps).reshape(1 << m, -1)
-    post[idx] = block[idx] / math.sqrt(p)
-    return post.reshape(-1), p
-
-
-def measure_first(amps: np.ndarray, m: int, n: int,
-                  rng: np.random.Generator) -> tuple[str, np.ndarray, float]:
-    """Sample a collapsing measurement of the first m qubits."""
-    if m == 0:
-        return "", amps, 1.0
-    probs = outcome_probs(amps, m, n)
-    probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
-    idx = int(rng.choice(1 << m, p=probs))
-    post, p = project_first(amps, m, idx, n)
-    return format(idx, f"0{m}b"), post, p
+def project(states: np.ndarray, m: int, rows, outcomes,
+            cond: np.ndarray) -> np.ndarray:
+    """Post-measurement states of the stack's (row, outcome) pairs, given
+    the stack's outcome weights ``cond`` (positive at every pair): one
+    normalised state per pair."""
+    p = cond[rows, outcomes]
+    blocks = states.reshape(len(states), 1 << m, -1)
+    post = np.zeros((len(rows),) + blocks.shape[1:], dtype=complex)
+    post[np.arange(len(rows)), outcomes] = (blocks[rows, outcomes]
+                                            / np.sqrt(p)[:, None])
+    return post.reshape(len(rows), -1)
 
 
 def readout_dist(amps: np.ndarray, n: int) -> FiniteDist:
@@ -321,12 +315,16 @@ class BranchNode:
     outcomes: tuple[str, ...]
     prob: float
     state: np.ndarray
-    readout: FiniteDist | None
     children: tuple["BranchNode", ...] = ()
 
     @property
     def depth(self) -> int:
         return len(self.outcomes)
+
+    @functools.cached_property
+    def readout(self) -> FiniteDist:
+        """Full-width readout law of the post state, built on first read."""
+        return readout_dist(self.state, self.state.size.bit_length() - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,17 +373,16 @@ def branch_count_bound(circuit: Circuit) -> int:
 _ROOTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def enumerate_branches(circuit: Circuit,
-                       max_branches: int | None = None) -> BranchTree:
-    """Every collapsing outcome path with its post state and readout.
+def enumerate_branches(circuit: Circuit) -> BranchTree:
+    """Every collapsing outcome path with its post state.
 
     Branches whose conditional probability falls below BRANCH_PRUNE_TOL are
     dropped; the surviving children of a node carry its full mass up to that
-    pruning. The path-count guard is checked on every call, before any
-    state is allocated. The tree is expanded on the first call for a
-    circuit; later calls return the same nodes.
+    pruning. The path-count guard (NCMO_MAX_BRANCHES) is checked on every
+    call, before any state is allocated. The tree is built on the first
+    call for a circuit; later calls return the same nodes.
     """
-    guard = branch_guard() if max_branches is None else max_branches
+    guard = branch_guard()
     bound = branch_count_bound(circuit)
     if bound > guard:
         raise InstanceTooLargeError(
@@ -398,50 +395,49 @@ def enumerate_branches(circuit: Circuit,
 
 
 def _build_tree(circuit: Circuit) -> BranchNode:
-    state0 = initial_state(circuit.qubits)
-    return BranchNode(outcomes=(), prob=1.0, state=state0, readout=None,
-                      children=_expand(circuit, state0, 0, 1.0, ()))
-
-
-def _expand(circuit: Circuit, state: np.ndarray, depth: int, prob: float,
-            outcomes: tuple[str, ...]) -> tuple[BranchNode, ...]:
-    # module level, not a closure: a self-referencing closure would hold
-    # the circuit in a reference cycle and keep its cache entry alive
-    if depth == circuit.depth:
-        return ()
-    n = circuit.qubits
-    step = circuit.steps[depth]
-    evolved = apply_step_unitary(state, step, n)
-    m = step.measure
-    if m == 0:
-        path = outcomes + ("",)
-        return (BranchNode(
-            outcomes=path, prob=prob, state=evolved,
-            readout=readout_dist(evolved, n),
-            children=_expand(circuit, evolved, depth + 1, prob, path)),)
-    cond = outcome_probs(evolved, m, n)
-    children = []
-    for idx in range(1 << m):
-        if cond[idx] <= BRANCH_PRUNE_TOL:
-            continue
-        post, p = project_first(evolved, m, idx, n)
-        path = outcomes + (format(idx, f"0{m}b"),)
-        children.append(BranchNode(
-            outcomes=path, prob=prob * p, state=post,
-            readout=readout_dist(post, n),
-            children=_expand(circuit, post, depth + 1, prob * p, path)))
-    return tuple(children)
+    """One level per step: evolve the level's stack, project its (parent,
+    outcome) pairs above BRANCH_PRUNE_TOL in row-major order, so children
+    sit by parent in ascending outcome; then make nodes from the leaves up."""
+    n, levels = circuit.qubits, []
+    root_state = initial_state(n)
+    states, probs, paths = root_state[None], np.ones(1), [()]
+    for step in circuit.steps:
+        states = apply_step_unitary(states, step, n)
+        m, k = step.measure, len(states)
+        rows = outs = np.arange(k)
+        if m:
+            cond = outcome_probs(states, m, n)
+            rows, outs = np.nonzero(cond > BRANCH_PRUNE_TOL)
+            states = project(states, m, rows, outs, cond)
+            probs = probs[rows] * cond[rows, outs]
+        paths = [paths[r] + (format(o, f"0{m}b") if m else "",)
+                 for r, o in zip(rows.tolist(), outs.tolist())]
+        # the children of parent i are nodes ends[i]:ends[i + 1] of the level
+        ends = np.searchsorted(rows, np.arange(k + 1)).tolist()
+        levels.append((ends, paths, probs.tolist(), states))
+    kids = [()] * len(paths)
+    for ends, paths, probs, states in reversed(levels):
+        nodes = [BranchNode(*f) for f in zip(paths, probs, states, kids)]
+        kids = [tuple(nodes[lo:hi]) for lo, hi in zip(ends, ends[1:])]
+    return BranchNode(outcomes=(), prob=1.0, state=root_state,
+                      children=kids[0])
 
 
 def walk(circuit: Circuit, rng: np.random.Generator, t: int | None = None):
     """Simulate steps 1..t once (every step by default), sampling each
     collapsing measurement; yields (u_i, post-measurement state) per step."""
     n = circuit.qubits
-    state = initial_state(n)
+    states = initial_state(n)[None]
     for step in circuit.steps[:t]:
-        state = apply_step_unitary(state, step, n)
-        u, state, _ = measure_first(state, step.measure, n, rng)
-        yield u, state
+        m, u = step.measure, ""
+        states = apply_step_unitary(states, step, n)
+        if m:
+            cond = outcome_probs(states, m, n)
+            probs = np.clip(cond[0], 0.0, None)
+            idx = int(rng.choice(1 << m, p=probs / probs.sum()))
+            states = project(states, m, [0], [idx], cond)
+            u = format(idx, f"0{m}b")
+        yield u, states[0]
 
 
 def run_prefix(circuit: Circuit, t: int,

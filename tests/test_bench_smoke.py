@@ -2,8 +2,12 @@
 does: a change that breaks the calls a workload makes, or moves its exact
 values off ``perfbench/reference.json``, fails here before any timing.
 
-``perfbench/pool.py`` and ``perfbench/ops.py`` are loaded as they are and
-never modified.
+The ``wide-tree`` op also runs once under ``perfbench/tracer.py``, whose
+tree counters walk ``node.state`` and ``node.children`` of every tree the
+op looked up.
+
+``perfbench/pool.py``, ``perfbench/ops.py`` and ``perfbench/tracer.py`` are
+loaded as they are and never modified.
 """
 
 import importlib.util
@@ -40,3 +44,19 @@ def test_warmup_op_passes_against_the_reference(workload, tmp_path):
     ops.write_inputs([spec], str(tmp_path))
     _, raw = ops.execute(spec, 0, str(tmp_path))
     ops.compare(spec, ops.check(spec, raw), REFERENCE[workload])
+
+
+def test_wide_tree_op_passes_under_the_tracer(tmp_path):
+    tracer = _load("tracer").Tracer()
+    spec = pool.warmup("wide-tree", REFERENCE["wide-tree"])
+    spec["fp"] = pool.fingerprint(spec)
+    ops.write_inputs([spec], str(tmp_path))
+    tracer.install()
+    try:
+        _, raw = ops.execute(spec, 0, str(tmp_path))
+        tracer.end_op()
+    finally:
+        tracer.remove()
+    ops.compare(spec, ops.check(spec, raw), REFERENCE["wide-tree"])
+    assert tracer.counters["qsim.branch_paths"] > 0
+    assert tracer.counters["qsim.node_state_bytes"] > 0

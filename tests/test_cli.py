@@ -320,12 +320,30 @@ def test_check_hybrid_rejects_bad_rejection_budgets(adversary, instance_file,
                 "--adversary", "rejection:5000"], str(out)) == 0
 
 
+def test_check_hybrid_rejection_budget_does_not_change_the_laws(
+        instance_file, tmp_path):
+    # check-hybrid computes exact laws, and a rejection adversary's law is
+    # the perfect adversary's: the budget never enters the payload
+    payloads = []
+    for adversary in ("perfect", "rejection:1"):
+        out = tmp_path / f"{adversary.replace(':', '-')}.json"
+        assert run(["check-hybrid", "--instance", instance_file,
+                    "--adversary", adversary], str(out)) == 0
+        payloads.append(json.loads(out.read_text())["payload"])
+    assert payloads[0] == payloads[1]
+
+
 def _law_scheme(**fields):
     obj = {"puzz_len": 1, "ans_len": 1,
            "source": {"law": {"length": 2,
                               "probs": {"00": 0.5, "11": 0.5}}}}
     obj.update(fields)
     return obj
+
+
+# a valid one-step circuit source for puzz_len = ans_len = 1
+PREP_SOURCE = {"circuit": circuit_to_json(bell_circuit(0, 0)),
+               "puzz_register": 1}
 
 
 def _with_probs(probs):
@@ -345,9 +363,19 @@ def _with_probs(probs):
     (_with_probs("00"), "'probs'"),
     (_law_scheme(setup={"probs": {"0": 0.5, "1": None}},
                  source={"laws": {}}), "probability of '1'"),
+    (_law_scheme(setup=3), "'setup'"),
+    (_law_scheme(setup={"length": 0, "probs": {"": 1.0}},
+                 source=PREP_SOURCE), "'setup'"),
+    (_law_scheme(pp="0", setup={"length": 1, "probs": {"0": 1.0}},
+                 source={"laws": {"0": {"length": 2,
+                                        "probs": {"00": 1.0}}}}), "'pp'"),
+    (_law_scheme(pp=5), "'pp'"),
+    (_law_scheme(pp="0a"), "'pp'"),
+    (_law_scheme(pp=5, source=PREP_SOURCE), "'pp'"),
 ], ids=["junk-x", "puzz-true", "puzz-string", "ans-float", "prob-x",
         "prob-string", "prob-nan", "prob-inf", "probs-list", "probs-string",
-        "setup-null"])
+        "setup-null", "setup-beside-law", "setup-beside-circuit",
+        "pp-beside-laws", "pp-int-law", "pp-not-bits", "pp-int-circuit"])
 def test_malformed_scheme_fields_are_input_errors(obj, field, tmp_path,
                                                   capsys):
     path = tmp_path / "scheme.json"

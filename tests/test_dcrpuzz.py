@@ -296,6 +296,25 @@ def test_scheme_json_round_trip_junked_state(tmp_path):
     assert col_oracle_gap(loaded, "") <= 1e-9
 
 
+def test_scheme_json_round_trip_keeps_a_named_pp():
+    # scheme_to_json writes "pp" beside a single law or a circuit source,
+    # and the loader's field rules take it back
+    amps = np.zeros(8, dtype=complex)
+    amps[0b000] = amps[0b011] = 0.5
+    amps[0b110] = 1 / np.sqrt(2)
+    schemes = [
+        DcrScheme(puzz_len=1, ans_len=1, setup=FiniteDist.point("01"),
+                  samp_laws={"01": FiniteDist.uniform(2)}),
+        DcrScheme(puzz_len=1, ans_len=1, junk_len=1,
+                  setup=FiniteDist.point("10"), states={"10": amps}),
+    ]
+    for scheme in schemes:
+        obj = scheme_to_json(scheme)
+        pp = obj["pp"]
+        loaded = scheme_from_json(obj)
+        assert sd(loaded.samp_law(pp), scheme.samp_law(pp)) <= 1e-9
+
+
 def test_scheme_json_parse_errors():
     with pytest.raises(ParseError):
         scheme_from_json(["not", "a", "dict"])

@@ -1,4 +1,6 @@
+import cmath
 import json
+import math
 
 import numpy as np
 import pytest
@@ -38,6 +40,8 @@ from ncmlab.ncmo import (
     session_law,
 )
 from ncmlab.qsim import (
+    BRANCH_PRUNE_TOL,
+    FIXED_1Q,
     Circuit,
     Gate,
     Step,
@@ -47,9 +51,10 @@ from ncmlab.qsim import (
     enumerate_branches,
     initial_state,
     outcome_probs,
-    project_first,
     random_circuit,
+    random_unitary_2x2,
     readout_dist,
+    step_unitary,
 )
 
 ATOL = 1e-9
@@ -307,6 +312,16 @@ def test_family_reference_check():
 
 # -- batched sampling against the string walk ---------------------------------
 
+def _project_first(amps, m, idx, n):
+    """The per-state projection the step kernel replaced: the post state
+    of outcome idx and its probability."""
+    block = amps.reshape(1 << m, -1)
+    p = float((np.abs(block[idx]) ** 2).sum())
+    post = np.zeros_like(amps).reshape(1 << m, -1)
+    post[idx] = block[idx] / math.sqrt(p)
+    return post.reshape(-1), p
+
+
 def _reference_reads(circuit, shots, rng):
     """The string walk that oracle_read_codes replaced, kept as the
     reference: one multinomial per collapse, then one readout_dist
@@ -329,7 +344,7 @@ def _reference_reads(circuit, shots, rng):
                 for idx, cnt in enumerate(counts):
                     if cnt == 0:
                         continue
-                    post, _ = project_first(evolved, m, idx, n)
+                    post, _ = _project_first(evolved, m, idx, n)
                     splits.append((post, members[start:start + cnt]))
                     start += cnt
             for post, sub in splits:
@@ -363,6 +378,113 @@ def test_batched_reads_equal_the_string_walk():
         assert codes.tolist() == [[int(v, 2) for v in row] for row in want]
 
 
+# -- the step kernel against the per-state recursion ------------------------------
+
+def _evolve(amps, step, n):
+    """The per-state gate arithmetic the stacked gates replaced (no prep)."""
+    for g in step.gates:
+        t = amps.reshape([2] * n).copy()
+        if g.name in FIXED_1Q or g.name == "u1q":
+            q = g.targets[0]
+            mat = np.asarray(FIXED_1Q.get(g.name, g.matrix), dtype=complex)
+            t = (mat @ np.moveaxis(t, q, 0).reshape(2, -1)).reshape([2] * n)
+            t = np.moveaxis(t, 0, q)
+        elif g.name == "swap":
+            t = np.swapaxes(t, *g.targets)
+        else:
+            a, b = g.targets
+            sel = [slice(None)] * n
+            sel[a] = 1
+            if g.name == "cnot":
+                t[tuple(sel)] = np.flip(t[tuple(sel)], axis=b - (a < b))
+            else:
+                sel[b] = 1
+                t[tuple(sel)] = t[tuple(sel)] * cmath.exp(1j * g.theta)
+        amps = t.reshape(-1)
+    return amps
+
+
+def _expand(circuit, state, depth, prob, outcomes):
+    """The recursive tree expansion the level loop replaced, one state per
+    call: yields (outcomes, prob, state) for every node below, depth first."""
+    if depth == circuit.depth:
+        return
+    n = circuit.qubits
+    step = circuit.steps[depth]
+    evolved = _evolve(state, step, n)
+    m = step.measure
+    if m == 0:
+        path = outcomes + ("",)
+        yield path, prob, evolved
+        yield from _expand(circuit, evolved, depth + 1, prob, path)
+        return
+    cond = outcome_probs(evolved, m, n)
+    for idx in range(1 << m):
+        if cond[idx] <= BRANCH_PRUNE_TOL:
+            continue
+        post, p = _project_first(evolved, m, idx, n)
+        path = outcomes + (format(idx, f"0{m}b"),)
+        yield path, prob * p, post
+        yield from _expand(circuit, post, depth + 1, prob * p, path)
+
+
+def _preorder(node):
+    for child in node.children:
+        yield child
+        yield from _preorder(child)
+
+
+def _kernel_circuits():
+    # a 2-qubit cphase multiplies one amplitude per state, where rounding
+    # is easiest to move; the dense 7-qubit circuit has 8 then 128 nodes
+    cphase = Circuit(qubits=2, steps=(
+        Step(gates=(Gate("h", (0,)), Gate("h", (1,)),
+                    Gate("cphase", (0, 1), theta=1.234), Gate("h", (0,))),
+             measure=1),
+        Step(gates=(Gate("cphase", (1, 0), theta=0.3), Gate("h", (1,))))))
+    rng = np.random.default_rng(7)
+    dense = Circuit(qubits=7, steps=tuple(
+        Step(gates=tuple(Gate("u1q", (q,), matrix=random_unitary_2x2(rng))
+                         for q in range(7))
+             + tuple(Gate("cnot", (q, q + 1)) for q in range(6)), measure=m)
+        for m in (3, 4)))
+    return _reference_circuits() + [cphase, dense]
+
+
+@pytest.mark.parametrize("i", range(len(_kernel_circuits())))
+def test_level_tree_equals_the_recursive_expansion(i):
+    c = _kernel_circuits()[i]
+    want = list(_expand(c, initial_state(c.qubits), 0, 1.0, ()))
+    got = list(_preorder(enumerate_branches(c).root))
+    assert [node.outcomes for node in got] == [w[0] for w in want]
+    assert [node.prob for node in got] == [w[1] for w in want]
+    for node, (_, _, state) in zip(got, want):
+        # by value: a stacked product may flip the sign of a zero amplitude
+        assert np.array_equal(node.state, state)
+        assert (list(node.readout.items())
+                == list(readout_dist(state, c.qubits).items()))
+    for step in c.steps:
+        # the columns as one stack, against one column at a time
+        cols = [_evolve(e, step, c.qubits)
+                for e in np.eye(1 << c.qubits, dtype=complex)]
+        assert np.array_equal(step_unitary(step, c.qubits),
+                              np.stack(cols, axis=1))
+
+
+def test_tree_build_makes_no_readout_law(monkeypatch):
+    calls = []
+    law_of = qsim.readout_dist
+    monkeypatch.setattr(qsim, "readout_dist",
+                        lambda amps, n: calls.append(n) or law_of(amps, n))
+    tree = enumerate_branches(bell_circuit(measure_first_step=1,
+                                           extra_steps=1))
+    assert calls == []
+    leaf = tree.leaves()[0]
+    law = leaf.readout
+    assert calls == [2] and leaf.readout is law
+    assert list(law.items()) == list(readout_dist(leaf.state, 2).items())
+
+
 def test_read_codes_shot_counts():
     c = bell_circuit(measure_first_step=1, extra_steps=1)
     assert oracle_read_codes(c, 0, np.random.default_rng(1)).shape == (0, 2)
@@ -375,12 +497,15 @@ def test_branch_invariant_raises_without_asserts(monkeypatch):
     # With collapse bypassed, reads stop extending their branch outcome; the
     # check must raise, not assert, so it survives python -O.
     c = bell_circuit(measure_first_step=1, extra_steps=0)
-    monkeypatch.setattr(ncmo, "project_first",
-                        lambda amps, m, idx, n: (amps, 1.0))
+
+    def uncollapsed(states, m, rows, outcomes, cond):
+        return states[np.asarray(rows)]
+
+    # the kernel's projection, at both of its import sites
+    monkeypatch.setattr(ncmo, "project", uncollapsed)
+    monkeypatch.setattr(qsim, "project", uncollapsed)
     with pytest.raises(RuntimeError):
         oracle_read_codes(c, 200, np.random.default_rng(3))
-    monkeypatch.setattr(qsim, "measure_first",
-                        lambda amps, m, n, rng: ("0" * m, amps, 1.0))
     rng = np.random.default_rng(3)
     with pytest.raises(RuntimeError):
         for _ in range(200):

@@ -23,13 +23,13 @@ from ncmlab.qsim import (
     circuit_to_json,
     enumerate_branches,
     initial_state,
-    measure_first,
     random_circuit,
     random_unitary_2x2,
     readout_dist,
     run_prefix,
     state_prep_unitary,
     step_unitary,
+    walk,
 )
 
 ATOL = 1e-9
@@ -171,11 +171,17 @@ def test_prep_gate_and_completion():
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-9
 
 
-def test_measure_first_zero_width():
-    state = initial_state(2)
-    u, post, p = measure_first(state, 0, 2, np.random.default_rng(0))
-    assert u == "" and p == 1.0
-    assert post is state
+def test_walk_zero_width_step():
+    # a step that measures nothing yields the empty outcome and the evolved
+    # state, and draws nothing
+    c = Circuit(qubits=2, steps=(Step(gates=(Gate("h", (0,)),), measure=0),))
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    ((u, post),) = walk(c, rng)
+    assert u == ""
+    assert np.array_equal(
+        post, apply_step_unitary(initial_state(2), c.steps[0], 2))
+    assert rng.bit_generator.state == before
 
 
 def test_random_unitary_is_unitary():

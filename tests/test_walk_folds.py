@@ -8,6 +8,8 @@ generator in the same state; the laws must be equal atom for atom (``==``,
 not within a tolerance).
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -43,7 +45,7 @@ from ncmlab.qsim import (
     draw_readout,
     enumerate_branches,
     initial_state,
-    measure_first,
+    outcome_probs,
     random_circuit,
     readout_dist,
     run_prefix,
@@ -55,13 +57,27 @@ DRAWS = 12
 
 # -- the replaced loops ---------------------------------------------------------
 
+def _measure_first(amps, m, n, rng):
+    """The per-state collapse the step kernel replaced: draw the outcome of
+    the first m qubits, return it with the post state and its weight."""
+    if m == 0:
+        return "", amps, 1.0
+    probs = np.clip(outcome_probs(amps, m, n), 0.0, None)
+    idx = int(rng.choice(1 << m, p=probs / probs.sum()))
+    block = amps.reshape(1 << m, -1)
+    p = float((np.abs(block[idx]) ** 2).sum())
+    post = np.zeros_like(amps).reshape(1 << m, -1)
+    post[idx] = block[idx] / math.sqrt(p)
+    return format(idx, f"0{m}b"), post.reshape(-1), p
+
+
 def _ref_run_prefix(circuit, t, rng):
     n = circuit.qubits
     state = initial_state(n)
     outcomes = ()
     for step in circuit.steps[:t]:
         state = apply_step_unitary(state, step, n)
-        u, state, _ = measure_first(state, step.measure, n, rng)
+        u, state, _ = _measure_first(state, step.measure, n, rng)
         outcomes = outcomes + (u,)
     return outcomes, state
 
@@ -72,7 +88,7 @@ def _ref_oracle_sample(circuit, rng):
     reads = []
     for step in circuit.steps:
         state = apply_step_unitary(state, step, n)
-        u, state, _ = measure_first(state, step.measure, n, rng)
+        u, state, _ = _measure_first(state, step.measure, n, rng)
         reads.append(readout_dist(state, n).sample(rng))
     return tuple(reads)
 
@@ -84,7 +100,7 @@ def _ref_hybrid_b(k, x, circuit, adv, rng):
     reads = []
     for i, step in enumerate(circuit.steps, start=1):
         state = apply_step_unitary(state, step, n)
-        u, state, _ = measure_first(state, step.measure, n, rng)
+        u, state, _ = _measure_first(state, step.measure, n, rng)
         tau = tau + (u,)
         if i <= k:
             reads.append(readout_dist(state, n).sample(rng))
