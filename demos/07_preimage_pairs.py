@@ -15,8 +15,8 @@ import numpy as np
 
 from ncmlab.dcrpuzz import (distinct_answer_prob, dpp_instance,
                             function_scheme, oracle_col_law,
-                            random_function_table, triple_of_reads)
-from ncmlab.ncmo import oracle_sample_many
+                            random_function_table, read_triples)
+from ncmlab.ncmo import oracle_read_codes
 
 rng = np.random.default_rng(2026)
 table = random_function_table(rng, in_len=3, out_len=2)
@@ -45,9 +45,8 @@ assert abs(brute - oracle) <= 1e-9
 
 # route 4: live shots through the oracle
 SHOTS = 20_000
-circuit = dpp_instance(scheme, "")
-outs = oracle_sample_many(circuit, SHOTS, rng)
-hits = sum(1 for o in outs
-           if (t := triple_of_reads(scheme, o.reads)).ans != t.ans2)
+reads = oracle_read_codes(dpp_instance(scheme, ""), SHOTS, rng)
+_, ans, ans2 = read_triples(scheme, reads)
+hits = int(np.count_nonzero(ans != ans2))
 print(f"{SHOTS} live shots       {hits / SHOTS:.6f}")
 assert abs(hits / SHOTS - brute) <= 0.02

@@ -34,7 +34,6 @@ from .ncmo import (
     NextQuery,
     oracle_exact,
     oracle_read_codes,
-    oracle_sample_many,
     session_law,
 )
 from .qsim import (
@@ -60,7 +59,7 @@ from .dcrpuzz import (
     oracle_col_law,
     random_function_table,
     random_law_scheme,
-    triple_of_reads,
+    read_triples,
 )
 from .primitives import (
     ToyCommitment,
@@ -317,11 +316,9 @@ def criterion_10(seed: int = BASE_SEED) -> list[Check]:
         via_oracle = sum(w for flat, w in law.items()
                          if flat[p:p + a] != flat[p + a:])
         worst_oracle = max(worst_oracle, abs(via_oracle - brute))
-        circuit = dpp_instance(scheme, "")
-        hits = 0
-        for out in oracle_sample_many(circuit, shots, rng):
-            triple = triple_of_reads(scheme, out.reads)
-            hits += triple.ans != triple.ans2
+        reads = oracle_read_codes(dpp_instance(scheme, ""), shots, rng)
+        _, ans, ans2 = read_triples(scheme, reads)
+        hits = int(np.count_nonzero(ans != ans2))
         worst_emp = max(worst_emp, abs(hits / shots - brute))
     return [
         _leq("preimages/collision-law-distinct-prob[10 functions]",

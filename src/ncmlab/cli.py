@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .acceptance import BASE_SEED, EXACT_TOL, Check, SUITES, run_suite
 from .acceptance import _leq as _chk
-from .dist import EmpiricalDist, FiniteDist, check_bits, empirical_codes, sd
+from .dist import FiniteDist, check_bits, empirical_codes, marginal, sd
 from .errors import (
     ImpossibleConditionError,
     InstanceTooLargeError,
@@ -204,8 +204,8 @@ def _cmd_run_oracle(args) -> dict:
         return _report("run-oracle", config, checks, payload)
     seed = _require_seed(args)
     rng = np.random.default_rng(seed)
-    codes = oracle_read_codes(circuit, args.shots, rng)
-    emp = empirical_codes(codes, circuit.qubits).to_dist()
+    emp = empirical_codes(oracle_read_codes(circuit, args.shots, rng),
+                          circuit.qubits)
     payload["empirical"] = emp.to_json()
     try:
         exact = oracle_exact(circuit)
@@ -215,7 +215,7 @@ def _cmd_run_oracle(args) -> dict:
         payload["exact_comparison"] = True
         tol = 5.0 * (len(exact) / args.shots) ** 0.5
         checks.append(_chk(f"oracle/sampling-tv[{args.shots} shots]",
-                           sd(emp, exact), tol))
+                           sd(emp.to_dist(), exact), tol))
     return _report("run-oracle", config, checks, payload)
 
 
@@ -321,12 +321,7 @@ def _cmd_run_dcr(args) -> dict:
     worst_gap = None
     for pp in pps:
         law = col_law(scheme, pp)
-        marg = {}
-        half = scheme.puzz_len + scheme.ans_len
-        for flat, w in law.items():
-            key = flat[:half]
-            marg[key] = marg.get(key, 0.0) + w
-        consistency = sd(FiniteDist(marg, _validate=False),
+        consistency = sd(marginal(law, range(scheme.puzz_len + scheme.ans_len)),
                          scheme.samp_law(pp))
         checks.append(_chk(f"dcr/collision-marginal-is-the-sampler[pp={pp or 'e'}]",
                            consistency, EXACT_TOL))
@@ -341,22 +336,16 @@ def _cmd_run_dcr(args) -> dict:
         if args.mode == "sample":
             seed = _require_seed(args)
             rng = np.random.default_rng(seed)
-            sampler = ColSampler(scheme, pp)
-            # each triple folded into one code, so one 1-D sort counts them
-            span = len(sampler.answers)
-            puzz, ans, ans2 = sampler.draw(rng, args.shots)
-            codes, counts = np.unique((puzz * span + ans) * span + ans2,
+            a = scheme.ans_len
+            puzz, ans, ans2 = ColSampler(scheme, pp).draw(rng, args.shots)
+            codes, counts = np.unique((puzz << 2 * a) | (ans << a) | ans2,
                                       return_counts=True)
-            emp = EmpiricalDist(
-                counts={sampler.puzzles[code // (span * span)]
-                        + sampler.answers[code // span % span]
-                        + sampler.answers[code % span]: c
-                        for code, c in zip(codes.tolist(), counts.tolist())},
-                shots=args.shots)
+            emp = FiniteDist.from_codes(law.length, codes,
+                                        counts / args.shots)
             tol = 5.0 * (len(law) / args.shots) ** 0.5
             checks.append(_chk(
                 f"dcr/sampled-collision-tv[pp={pp or 'e'}, {args.shots} shots]",
-                sd(emp.to_dist(), law), tol))
+                sd(emp, law), tol))
         rows.append(row)
     if worst_gap is not None:
         checks.append(_chk("dcr/oracle-pipeline-reproduces-collisions",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import FiniteDist, condition, empirical, marginal, push_forward, sd
+from .dist import FiniteDist, condition, empirical, marginal, sd
 from .errors import InstanceTooLargeError, ParseError, StructureError
 from .ncmo import oracle_exact, oracle_sample
 from .qsim import (
@@ -88,6 +88,10 @@ class DcrScheme:
         self._samp_laws = dict(samp_laws or {})
         self._states = {k: np.asarray(v, dtype=complex)
                         for k, v in (states or {}).items()}
+        for pp in (*self._samp_laws, *self._states):
+            if pp not in setup:
+                raise StructureError(
+                    f"pp {pp!r} is not in the setup law's support")
         for pp in setup.support:
             if pp not in self._samp_laws and pp not in self._states:
                 raise StructureError(f"pp {pp!r} has neither a law nor a state")
@@ -117,12 +121,9 @@ class DcrScheme:
         return self.puzz_len + self.ans_len + self.junk_len
 
     def _law_of_state(self, amps: np.ndarray) -> FiniteDist:
-        n = self.qubits
         born = born_weights(amps)
         atoms = np.flatnonzero(born)
-        full = FiniteDist({format(i, f"0{n}b"): p for i, p in
-                           zip(atoms.tolist(), born[atoms].tolist())},
-                          _validate=False)
+        full = FiniteDist.from_codes(self.qubits, atoms, born[atoms])
         if self.junk_len == 0:
             return full
         return marginal(full, range(self.puzz_len + self.ans_len))
@@ -151,37 +152,35 @@ class DcrScheme:
             return None
         law = self.samp_law(pp)
         amps = np.zeros(1 << self.qubits, dtype=complex)
-        for key, p in law.items():
-            amps[int(key, 2)] = np.sqrt(p)
+        amps[law.codes] = np.sqrt(law.weights)
         self._states[pp] = amps
         return amps
 
 
 # -- the collision law ----------------------------------------------------------
 
-def _group_by_puzz(samp: FiniteDist,
-                   p_len: int) -> dict[str, dict[str, float]]:
-    """One pass over the sampler law: puzz -> {ans: joint mass}."""
-    groups: dict[str, dict[str, float]] = {}
-    for flat, w in samp.items():
-        groups.setdefault(flat[:p_len], {})[flat[p_len:]] = w
-    return groups
-
-
 def col_law(scheme: DcrScheme, pp: str) -> FiniteDist:
     """Exact law of (puzz, ans, ans'), the second answer resampled."""
-    groups = _group_by_puzz(scheme.samp_law(pp), scheme.puzz_len)
-    size = sum(len(g) ** 2 for g in groups.values())
+    samp, a = scheme.samp_law(pp), scheme.ans_len
+    puzz, ans, w = samp.codes >> a, samp.codes & ((1 << a) - 1), samp.weights
+    # the atoms of one puzzle are a run of the sorted codes
+    starts = np.flatnonzero(np.concatenate(([True], puzz[1:] != puzz[:-1])))
+    sizes = np.diff(np.append(starts, len(puzz)))
+    group = np.repeat(np.arange(len(starts)), sizes)
+    size = int((sizes * sizes).sum())
     if size > MAX_COL_SUPPORT:
         raise InstanceTooLargeError(
             f"collision law would hold {size} atoms; cap is {MAX_COL_SUPPORT}")
-    probs = {}
-    for puzz, g in groups.items():
-        mass = sum(g.values())
-        for a, pa in g.items():
-            for a2, pa2 in g.items():
-                probs[puzz + a + a2] = pa * pa2 / mass
-    return FiniteDist(probs, _validate=False)
+    # atom i pairs with every atom of its group, in order
+    pairs = sizes[group]
+    first = np.repeat(np.arange(len(w)), pairs)
+    second = (starts[group[first]] + np.arange(len(first))
+              - np.repeat(np.cumsum(pairs) - pairs, pairs))
+    mass = np.bincount(group, weights=w)  # each group summed left to right
+    return FiniteDist.from_codes(
+        scheme.puzz_len + 2 * a,
+        (samp.codes[first] << a) | ans[second],
+        w[first] * w[second] / mass[group[first]])
 
 
 def col_sample(scheme: DcrScheme, pp: str,
@@ -205,23 +204,12 @@ class ColSampler:
     puzzle's conditional; so the same generator gives the same triples as
     three scalar draws per trial.
 
-    Built from a scheme, puzzles and answers are numbered by their place in
-    ``puzzles`` and ``answers`` (sorted bit strings). Built with
-    ``from_table``, they are the registers' integer codes, and those two
-    lists are None.
+    Puzzles and answers are the registers' integer codes.
     """
 
     def __init__(self, scheme: DcrScheme, pp: str):
-        law = scheme.samp_law(pp)
-        p = scheme.puzz_len
-        keys = law.support
-        self.puzzles = sorted({k[:p] for k in keys})
-        self.answers = sorted({k[p:] for k in keys})
-        row = {s: i for i, s in enumerate(self.puzzles)}
-        col = {s: j for j, s in enumerate(self.answers)}
-        self._setup(np.array([row[k[:p]] for k in keys], dtype=np.int64),
-                    np.array([col[k[p:]] for k in keys], dtype=np.int64),
-                    np.array([law.prob(k) for k in keys]))
+        law, a = scheme.samp_law(pp), scheme.ans_len
+        self._setup(law.codes >> a, law.codes & ((1 << a) - 1), law.weights)
 
     @classmethod
     def from_table(cls, table: np.ndarray) -> "ColSampler":
@@ -231,7 +219,6 @@ class ColSampler:
             raise StructureError(
                 f"law table must be (puzzles, answers), not {table.shape}")
         self = cls.__new__(cls)
-        self.puzzles = self.answers = None
         rows, cols = np.nonzero(table > 0.0)
         self._setup(rows, cols, table[rows, cols])
         return self
@@ -259,7 +246,7 @@ class ColSampler:
 
     def draw(self, rng: np.random.Generator,
              trials: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(puzz, ans, ans') index arrays of ``trials`` collision draws."""
+        """(puzz, ans, ans') code arrays of ``trials`` collision draws."""
         u = rng.random(3 * trials).reshape(trials, 3)
         cum = self._marg_cum
         row = np.minimum(np.searchsorted(cum, u[:, 0] * cum[-1],
@@ -312,27 +299,28 @@ def dpp_instance(scheme: DcrScheme, pp: str) -> Circuit:
     ))
 
 
-def triple_of_reads(scheme: DcrScheme, reads: tuple[str, ...]) -> CollisionTriple:
-    p, a = scheme.puzz_len, scheme.ans_len
-    v1, v2 = reads
-    return CollisionTriple(puzz=v1[:p], ans=v1[p:p + a], ans2=v2[p:p + a])
-
-
-def _flat_reads_to_triple(scheme: DcrScheme, flat: str) -> str:
-    n = scheme.qubits
-    return triple_of_reads(scheme, (flat[:n], flat[n:])).flat()
+def read_triples(scheme: DcrScheme,
+                 reads: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(puzz, ans, ans') register codes of two-read oracle calls on
+    ``dpp_instance``, from the rows of ``oracle_read_codes``."""
+    a, junk = scheme.ans_len, scheme.junk_len
+    mask = (1 << a) - 1
+    return (reads[:, 0] >> (a + junk), (reads[:, 0] >> junk) & mask,
+            (reads[:, 1] >> junk) & mask)
 
 
 def oracle_col_law(scheme: DcrScheme, pp: str) -> FiniteDist:
     """Exact triple law produced by the oracle on the prepared circuit."""
-    joint = oracle_exact(dpp_instance(scheme, pp))
-    return push_forward(joint, lambda s: _flat_reads_to_triple(scheme, s))
+    n, p, a = scheme.qubits, scheme.puzz_len, scheme.ans_len
+    return marginal(oracle_exact(dpp_instance(scheme, pp)),
+                    [*range(p + a), *range(n + p, n + p + a)])
 
 
 def oracle_col_sample(scheme: DcrScheme, pp: str,
                       rng: np.random.Generator) -> CollisionTriple:
-    out = oracle_sample(dpp_instance(scheme, pp), rng)
-    return triple_of_reads(scheme, out.reads)
+    p, a = scheme.puzz_len, scheme.ans_len
+    v1, v2 = oracle_sample(dpp_instance(scheme, pp), rng).reads
+    return CollisionTriple(puzz=v1[:p], ans=v1[p:p + a], ans2=v2[p:p + a])
 
 
 def col_oracle_gap(scheme: DcrScheme, pp: str) -> float:
@@ -420,14 +408,13 @@ def random_law_scheme(rng: np.random.Generator, *, pp_len: int = 1,
     width = puzz_len + ans_len
     laws = {}
     for pp in setup.support:
-        keys = [format(i, f"0{width}b") for i in range(1 << width)]
-        mask = rng.random(len(keys)) < density
+        mask = rng.random(1 << width) < density
         if not mask.any():
-            mask[int(rng.integers(len(keys)))] = True
-        weights = rng.random(len(keys)) * mask
+            mask[int(rng.integers(1 << width))] = True
+        weights = rng.random(1 << width) * mask
         weights /= weights.sum()
-        laws[pp] = FiniteDist({k: float(w) for k, w in zip(keys, weights)
-                               if w > 0})
+        laws[pp] = FiniteDist.from_codes(width, np.arange(1 << width),
+                                         weights)
     return DcrScheme(puzz_len=puzz_len, ans_len=ans_len, setup=setup,
                      samp_laws=laws)
 
@@ -454,17 +441,17 @@ def function_scheme(table: dict[str, str], in_len: int,
         if len(x) != in_len or len(y) != out_len:
             raise StructureError("table entry widths disagree with registers")
         probs[y + x] = 1.0 / (1 << in_len)
-    law = FiniteDist(probs, _validate=False)
+    law = FiniteDist(probs)
     return DcrScheme(puzz_len=out_len, ans_len=in_len,
                      setup=FiniteDist.point(""), samp_laws={"": law})
 
 
 def distinct_answer_prob(scheme: DcrScheme, pp: str) -> float:
     """Pr[ans != ans'] under the collision law."""
-    law = col_law(scheme, pp)
-    p, a = scheme.puzz_len, scheme.ans_len
-    return sum(w for flat, w in law.items()
-               if flat[p:p + a] != flat[p + a:])
+    law, a = col_law(scheme, pp), scheme.ans_len
+    mask = (1 << a) - 1
+    distinct = law.weights[((law.codes >> a) & mask) != (law.codes & mask)]
+    return float(np.cumsum(distinct)[-1]) if len(distinct) else 0.0
 
 
 # -- scheme files ---------------------------------------------------------------------

@@ -18,11 +18,15 @@ basis indices, which ``dist.empirical_codes`` counts without a string per shot
 ``q1`` and ``q2`` expose the partial views used by the puzzle
 constructions.
 
-Exact laws over the branch tree come from two folds. ``path_fold`` sums,
-over the leaves, Pr[leaf] times the product of one read law per step along
-the leaf's path: ``oracle_exact`` and ``puzzles.hybrid_b_law`` use it.
-``level_fold`` sums, over the step-t nodes, Pr[node] times tau_t joined to
-one law per node: ``q_t_law`` and ``puzzles.step_pair_law`` use it.
+Exact laws over the branch tree are built on integer codes (see ``dist``),
+with transcripts and reads joined by shifts. ``path_fold`` sums, over the
+leaves, Pr[leaf] times the product of one read law per step along the
+leaf's path, extending each parent's codes level by level:
+``oracle_exact`` and ``puzzles.hybrid_b_law`` use it. ``level_fold`` sums,
+over the step-t nodes, Pr[node] times tau_t joined to one law per node:
+``puzzles.step_pair_law`` uses it. ``q_t_law`` and
+``puzzles.InstancePuzzleSampler.joint_law`` read a whole level's Born
+weights from its stacked states in one pass.
 
 Machines: a BaseMachine is a deterministic map from (instance, accuracy,
 answers so far) to either the next query or a final output. Sessions against
@@ -37,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dist import FiniteDist, check_bits, mixture, product, push_forward
+from .dist import FiniteDist, check_bits, marginal, prefixed_mixture, product
 from .errors import (
     InstanceTooLargeError,
     ProtocolError,
@@ -161,22 +165,41 @@ def _guard_output_bits(circuit: Circuit, what: str):
 def path_fold(circuit: Circuit,
               read_law: Callable[[int, BranchNode], FiniteDist]) -> FiniteDist:
     """Sum over leaves of Pr[leaf] * (read_law(1, node_1) x ... x
-    read_law(T, node_T)), node_i being the leaf's step-i node."""
-    tree = enumerate_branches(circuit)
-    return mixture(
-        (leaf.prob, product(read_law(i, node) for i, node in
-                            enumerate(tree.path(leaf.outcomes), start=1)))
-        for leaf in tree.leaves())
+    read_law(T, node_T)), node_i being the leaf's step-i node.
+
+    Each node extends its parent's (codes, weights) by its read law, one
+    level at a time, so a shared path prefix is multiplied out once.
+    """
+    # (node, bits so far, codes, weights) per node of the current level
+    level = [(enumerate_branches(circuit).root, 0,
+              np.zeros(1, dtype=np.int64), np.ones(1))]
+    for i in range(1, circuit.depth + 1):
+        nxt = []
+        for node, width, codes, weights in level:
+            for child in node.children:
+                law = read_law(i, child)
+                nxt.append((child, width + law.length,
+                            ((codes[:, None] << law.length)
+                             | law.codes).ravel(),
+                            (weights[:, None] * law.weights).ravel()))
+        level = nxt
+    widths = {width for _, width, _, _ in level}
+    if len(widths) != 1:
+        raise StructureError(f"read laws give paths of {sorted(widths)} bits")
+    return FiniteDist.from_codes(
+        widths.pop(), np.concatenate([codes for _, _, codes, _ in level]),
+        np.concatenate([leaf.prob * w for leaf, _, _, w in level]))
 
 
 def level_fold(circuit: Circuit, t: int,
                law_at: Callable[[BranchNode], FiniteDist]) -> FiniteDist:
     """Sum over step-t nodes of Pr[node] * (tau_t || law_at(node)), the
     transcript flattened."""
-    return mixture(
-        (node.prob, push_forward(law_at(node),
-                                 lambda s, f="".join(node.outcomes): f + s))
-        for node in enumerate_branches(circuit).nodes_at(t))
+    nodes, taus = enumerate_branches(circuit).level(t)
+    return prefixed_mixture(
+        ((node.prob, tau, law_at(node))
+         for node, tau in zip(nodes, taus.tolist())),
+        sum(circuit.measure_widths()[:t]))
 
 
 def oracle_exact(circuit: Circuit) -> FiniteDist:
@@ -200,9 +223,19 @@ def q_t(circuit: Circuit, t: int,
     return tau, draw_readout(state, circuit.qubits, rng)[len(tau[-1]):]
 
 
-def suffix_readout(node_readout: FiniteDist, m: int) -> FiniteDist:
-    """Drop the first m bits of a readout law (they are branch-constant)."""
-    return push_forward(node_readout, lambda s: s[m:])
+def _level_reads(circuit: Circuit, t: int):
+    """Every readout atom of the step-t nodes, read from their stacked
+    states in one pass: (probs, taus, rows, suffixes, born), the nodes'
+    probabilities and transcript codes in tree order, then per atom its
+    node's row, the code of its last n - m_t bits (its first m_t are the
+    node's u_t) and its Born weight above READOUT_PRUNE_TOL, as in
+    ``qsim.readout_dist``."""
+    nodes, taus = enumerate_branches(circuit).level(t)
+    born = np.abs(np.stack([node.state for node in nodes])) ** 2
+    rows, cols = np.nonzero(born > READOUT_PRUNE_TOL)
+    w = circuit.qubits - circuit.steps[t - 1].measure
+    return (np.array([node.prob for node in nodes]), taus, rows,
+            cols & ((1 << w) - 1), born[rows, cols])
 
 
 # q_t_law, q1_law and q2_law take an optional third argument that is not
@@ -212,8 +245,11 @@ def q_t_law(circuit: Circuit, t: int,
             tree: BranchTree | None = None) -> FiniteDist:
     """Exact law of tau_t || w_t, transcripts flattened."""
     _check_step_index(circuit, t)
-    m = circuit.steps[t - 1].measure
-    return level_fold(circuit, t, lambda node: suffix_readout(node.readout, m))
+    probs, taus, rows, suffixes, born = _level_reads(circuit, t)
+    w = circuit.qubits - circuit.steps[t - 1].measure
+    return FiniteDist.from_codes(sum(circuit.measure_widths()[:t]) + w,
+                                 (taus[rows] << w) | suffixes,
+                                 probs[rows] * born)
 
 
 def _validate_transcript(circuit: Circuit, tau: Transcript):
@@ -232,18 +268,15 @@ def q1_law(circuit: Circuit, tau: Transcript,
            tree: BranchTree | None = None) -> FiniteDist:
     """Exact law of the remaining collapsing outcomes u_{t+1}..u_T given tau."""
     _validate_transcript(circuit, tau)
-    base = enumerate_branches(circuit).node(tuple(tau))
-    out: dict[str, float] = {}
-
-    def walk(node, acc):
-        if node.depth == circuit.depth:
-            out[acc] = out.get(acc, 0.0) + node.prob / base.prob
-            return
-        for ch in node.children:
-            walk(ch, acc + ch.outcomes[-1])
-
-    walk(base, "")
-    return FiniteDist(out)
+    tree = enumerate_branches(circuit)
+    base = tree.node(tuple(tau))
+    leaves, codes = tree.level(circuit.depth)
+    rest = sum(circuit.measure_widths()[len(tau):])
+    # the leaves below tau are those whose transcript codes begin with it
+    below = codes >> rest == int("".join(tau) or "0", 2)
+    return FiniteDist.from_codes(
+        rest, codes[below] & ((1 << rest) - 1),
+        np.array([leaf.prob for leaf in leaves])[below] / base.prob)
 
 
 def q2_law(circuit: Circuit, tau: Transcript,
@@ -251,9 +284,8 @@ def q2_law(circuit: Circuit, tau: Transcript,
     """Exact law of w_1..w_t given tau: independent readouts along the path."""
     _validate_transcript(circuit, tau)
     nodes = enumerate_branches(circuit).path(tuple(tau))
-    return product([
-        suffix_readout(node.readout, circuit.steps[i].measure)
-        for i, node in enumerate(nodes)])
+    return product([marginal(node.readout, range(step.measure, circuit.qubits))
+                    for node, step in zip(nodes, circuit.steps)])
 
 
 def _rejection_run(circuit: Circuit, tau: Transcript,

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import FiniteDist, check_bits, push_forward, sd
+from .dist import FiniteDist, check_bits, marginal, sd
 from .errors import (
     ImpossibleConditionError,
     InstanceTooLargeError,
@@ -159,11 +159,9 @@ class ToyMac:
         return self.table[x + theta], (x, theta)
 
     def vk_law(self) -> FiniteDist:
-        w = 1.0 / (1 << (2 * self.n))
-        probs: dict[str, float] = {}
-        for vk, pre in self.preimages.items():
-            probs[vk] = w * len(pre)
-        return FiniteDist(probs, _validate=False)
+        vks, counts = np.unique(self.vk_codes, return_counts=True)
+        return FiniteDist.from_codes(2 * self.n, vks,
+                                     1.0 / (1 << (2 * self.n)) * counts)
 
     def sign_law(self, x: str, theta: str, m: str) -> FiniteDist:
         """Measure the first lm encoded qubits in bases chosen by m."""
@@ -180,8 +178,7 @@ class ToyMac:
             sigma = "".join(combo)
             probs[sigma] = probs.get(sigma, 0.0) + 1.0
         total = sum(probs.values())
-        return FiniteDist({k: v / total for k, v in probs.items()},
-                          _validate=False)
+        return FiniteDist({k: v / total for k, v in probs.items()})
 
     def sign(self, x: str, theta: str, m: str,
              rng: np.random.Generator) -> str:
@@ -227,10 +224,7 @@ def mac_to_dcrpuzz(mac: ToyMac) -> DcrScheme:
     n, lm = mac.n, mac.lm
     flat = mac.law.reshape(-1)
     atoms = np.flatnonzero(flat)
-    width = 2 * n + 2 * lm
-    law = FiniteDist({format(i, f"0{width}b"): p for i, p in
-                      zip(atoms.tolist(), flat[atoms].tolist())},
-                     _validate=False)
+    law = FiniteDist.from_codes(2 * n + 2 * lm, atoms, flat[atoms])
     return DcrScheme(puzz_len=2 * n, ans_len=2 * lm,
                      setup=FiniteDist.point(""), samp_laws={"": law})
 
@@ -321,7 +315,7 @@ def algorithm_c_mac_law(mac: ToyMac) -> FiniteDist:
                             flat = vk + m + sigma + m2 + sigma2
                             w = base * m_w * p2 / len(pre)
                             probs[flat] = probs.get(flat, 0.0) + w
-    return FiniteDist(probs, _validate=False)
+    return FiniteDist(probs)
 
 
 def naive_forge_win_exact(mac: ToyMac) -> float:
@@ -388,7 +382,7 @@ class ToyCommitment:
         half = 1 << (2 * self.n - 1)
         probs = {y: len(pair[b]) / half
                  for y, pair in self.classes.items() if pair[b]}
-        return FiniteDist(probs, _validate=False)
+        return FiniteDist(probs)
 
     def s1(self, b: int, rng: np.random.Generator) -> tuple[str, list[str]]:
         """Commit: returns the digest and the residual preimage support."""
@@ -552,7 +546,7 @@ def algorithm_c_com(com: ToyCommitment, rng: np.random.Generator,
     if form != "coherent":
         raise StructureError(f"unknown sampler form {form!r}")
     scheme_law = com_to_dcrpuzz(com, "coherent").samp_law("")
-    y = push_forward(scheme_law, lambda s: s[:com.digest_len]).sample(rng)
+    y = marginal(scheme_law, range(com.digest_len)).sample(rng)
     lists = com.preimage_list(y, 0), com.preimage_list(y, 1)
     for b in (0, 1):
         if not lists[b]:
@@ -570,7 +564,7 @@ def algorithm_c_com_success(com: ToyCommitment, form: str = "literal") -> float:
         y_law = com.s1_law(0)
     elif form == "coherent":
         scheme_law = com_to_dcrpuzz(com, "coherent").samp_law("")
-        y_law = push_forward(scheme_law, lambda s: s[:com.digest_len])
+        y_law = marginal(scheme_law, range(com.digest_len))
     else:
         raise StructureError(f"unknown sampler form {form!r}")
     win = 0.0

@@ -35,8 +35,8 @@ from .dist import (
     FiniteDist,
     check_bits,
     condition,
-    mixture,
-    push_forward,
+    marginal,
+    prefixed_mixture,
     sd,
 )
 from .errors import ParseError, StructureError
@@ -47,6 +47,7 @@ from .ncmo import (
     PdqpInstanceFamily,
     Transcript,
     _guard_output_bits,
+    _level_reads,
     _rejection_run,
     level_fold,
     oracle_exact,
@@ -56,7 +57,6 @@ from .ncmo import (
     q_t_law,
     run_session,
     session_law,
-    suffix_readout,
 )
 from .qsim import Circuit, draw_readout, enumerate_branches, walk
 
@@ -91,7 +91,8 @@ class PerfectAdversary(StepAdversary):
 
     def law(self, x, circuit, t, tau):
         node = enumerate_branches(circuit).node(tuple(tau))
-        return suffix_readout(node.readout, circuit.steps[t - 1].measure)
+        return marginal(node.readout,
+                        range(circuit.steps[t - 1].measure, circuit.qubits))
 
 
 class RejectionAdversary(StepAdversary):
@@ -185,8 +186,9 @@ def hybrid_b_law(k: int, x: str, circuit: Circuit,
         if i <= k:
             return node.readout
         u = node.outcomes[-1]
-        return push_forward(adv.law(x, circuit, i, node.outcomes),
-                            lambda s: u + s)
+        return prefixed_mixture(
+            [(1.0, int(u or "0", 2), adv.law(x, circuit, i, node.outcomes))],
+            len(u))
 
     return path_fold(circuit, read_law)
 
@@ -358,21 +360,21 @@ class InstancePuzzleSampler(PuzzleSampler):
         return self.encode_puzz(x, t, tau), self.pad_ans(w)
 
     def joint_law(self) -> FiniteDist:
-        parts = []
-        for x in self.instances.support:
-            px = self.instances.prob(x)
+        codes, weights = [], []
+        for x, px in self.instances.items():
             c = self._circuits[x]
-            tree = enumerate_branches(c)
             for t in range(1, c.depth + 1):
-                m = c.steps[t - 1].measure
-                for node in tree.nodes_at(t):
-                    puzz = self.encode_puzz(x, t, node.outcomes)
-                    w_law = suffix_readout(node.readout, m)
-                    parts.append((
-                        px * node.prob / c.depth,
-                        push_forward(w_law,
-                                     lambda s, p=puzz: p + self.pad_ans(s))))
-        return mixture(parts)
+                probs, taus, rows, suffixes, born = _level_reads(c, t)
+                # puzz = (x, t) header | tau zero-padded; ans = w zero-padded
+                head = int(self.encode_puzz(x, t, ()), 2)
+                puzz = head | (taus << (self.layout.tau_width
+                                        - sum(c.measure_widths()[:t])))
+                pad = self.ans_len - (c.qubits - c.steps[t - 1].measure)
+                codes.append((puzz[rows] << self.ans_len) | (suffixes << pad))
+                weights.append((px * probs / c.depth)[rows] * born)
+        return FiniteDist.from_codes(self.puzz_len + self.ans_len,
+                                     np.concatenate(codes),
+                                     np.concatenate(weights))
 
     def per_step_terms(self, adv: StepAdversary) -> dict:
         """Exact SD terms of the advantage split by (x, t)."""
@@ -484,7 +486,11 @@ class StepPuzzleAdversary(PuzzleAdversary):
     def law(self, puzz):
         x, t, tau = self.sampler.decode_puzz(puzz)
         raw = self.adv.law(x, self.sampler.circuit(x), t, tau)
-        return push_forward(raw, self.sampler.pad_ans)
+        pad = self.sampler.ans_len - raw.length
+        if pad < 0:
+            raise StructureError("answer wider than layout")
+        return FiniteDist.from_codes(self.sampler.ans_len, raw.codes << pad,
+                                     raw.weights)
 
     def guess(self, puzz, rng):
         x, t, tau = self.sampler.decode_puzz(puzz)
@@ -513,13 +519,12 @@ def advantage(sampler: PuzzleSampler, adversary: PuzzleAdversary,
     """Distance between {puzz, ans} and {puzz, A(puzz)}."""
     if mode == "exact":
         honest = sampler.joint_law()
-        marg = push_forward(honest, lambda s: s[:sampler.puzz_len])
-        parts = []
-        for puzz in marg.support:
-            guess = adversary.law(puzz)
-            parts.append((marg.prob(puzz),
-                          push_forward(guess, lambda s, p=puzz: p + s)))
-        alpha = sd(honest, mixture(parts))
+        marg = marginal(honest, range(sampler.puzz_len))
+        guessed = prefixed_mixture(
+            ((w, code, adversary.law(puzz)) for puzz, code, w in
+             zip(marg.support, marg.codes.tolist(), marg.weights.tolist())),
+            sampler.puzz_len)
+        alpha = sd(honest, guessed)
         per_step = ()
         if (isinstance(sampler, InstancePuzzleSampler)
                 and isinstance(adversary, StepPuzzleAdversary)):

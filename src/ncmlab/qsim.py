@@ -291,9 +291,8 @@ def project(states: np.ndarray, m: int, rows, outcomes,
 def readout_dist(amps: np.ndarray, n: int) -> FiniteDist:
     """Full-width Born readout law of a state, tiny weights pruned."""
     probs = np.abs(amps) ** 2
-    out = {format(i, f"0{n}b"): float(p)
-           for i, p in enumerate(probs) if p > READOUT_PRUNE_TOL}
-    return FiniteDist(out, _validate=False)
+    atoms = np.flatnonzero(probs > READOUT_PRUNE_TOL)
+    return FiniteDist.from_codes(n, atoms, probs[atoms])
 
 
 def draw_readout(amps: np.ndarray, n: int, rng: np.random.Generator) -> str:
@@ -333,10 +332,18 @@ class BranchTree:
     root: BranchNode
 
     def nodes_at(self, t: int) -> list[BranchNode]:
-        level = [self.root]
-        for _ in range(t):
-            level = [c for node in level for c in node.children]
-        return level
+        return self.level(t)[0]
+
+    def level(self, t: int) -> tuple[list[BranchNode], np.ndarray]:
+        """The step-t nodes in tree order, with their transcripts as codes
+        (u_1 in the high bits)."""
+        nodes, codes = [self.root], [0]
+        for step in self.circuit.steps[:t]:
+            codes = [(code << step.measure) | int(child.outcomes[-1] or "0", 2)
+                     for node, code in zip(nodes, codes)
+                     for child in node.children]
+            nodes = [child for node in nodes for child in node.children]
+        return nodes, np.array(codes, dtype=np.int64)
 
     def leaves(self) -> list[BranchNode]:
         return self.nodes_at(self.circuit.depth)

@@ -2,9 +2,10 @@
 does: a change that breaks the calls a workload makes, or moves its exact
 values off ``perfbench/reference.json``, fails here before any timing.
 
-The ``wide-tree`` op also runs once under ``perfbench/tracer.py``, whose
-tree counters walk ``node.state`` and ``node.children`` of every tree the
-op looked up.
+The ``wide-tree`` and ``exact-chain`` ops also run once under
+``perfbench/tracer.py``, which wraps every public function and classmethod
+of the program, calls ``len()`` on law results, and walks ``node.state``
+and ``node.children`` of every tree an op looked up.
 
 ``perfbench/pool.py``, ``perfbench/ops.py`` and ``perfbench/tracer.py`` are
 loaded as they are and never modified.
@@ -46,9 +47,9 @@ def test_warmup_op_passes_against_the_reference(workload, tmp_path):
     ops.compare(spec, ops.check(spec, raw), REFERENCE[workload])
 
 
-def test_wide_tree_op_passes_under_the_tracer(tmp_path):
+def _traced_warmup_op(workload: str, tmp_path):
     tracer = _load("tracer").Tracer()
-    spec = pool.warmup("wide-tree", REFERENCE["wide-tree"])
+    spec = pool.warmup(workload, REFERENCE[workload])
     spec["fp"] = pool.fingerprint(spec)
     ops.write_inputs([spec], str(tmp_path))
     tracer.install()
@@ -57,6 +58,16 @@ def test_wide_tree_op_passes_under_the_tracer(tmp_path):
         tracer.end_op()
     finally:
         tracer.remove()
-    ops.compare(spec, ops.check(spec, raw), REFERENCE["wide-tree"])
+    ops.compare(spec, ops.check(spec, raw), REFERENCE[workload])
+    return tracer
+
+
+def test_wide_tree_op_passes_under_the_tracer(tmp_path):
+    tracer = _traced_warmup_op("wide-tree", tmp_path)
     assert tracer.counters["qsim.branch_paths"] > 0
     assert tracer.counters["qsim.node_state_bytes"] > 0
+
+
+def test_exact_chain_op_passes_under_the_tracer(tmp_path):
+    tracer = _traced_warmup_op("exact-chain", tmp_path)
+    assert tracer.counters["dist.atoms_out"] > 0

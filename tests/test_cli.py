@@ -95,6 +95,25 @@ def test_cap_exceeded_exit_code(tmp_path):
     assert run(["run-oracle", "--circuit", str(path)]) == 4
 
 
+def test_run_oracle_samples_reads_past_the_law_code_cap(tmp_path):
+    # 8 qubits x 8 steps: 64-bit reads, past the exact cap and past the
+    # 62-bit codes of a FiniteDist, so only the empirical counts are kept
+    from ncmlab.qsim import Circuit, Gate, Step
+    big = Circuit(qubits=8, steps=tuple(
+        Step(gates=(Gate("h", (0,)),), measure=0) for _ in range(8)))
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(circuit_to_json(big)))
+    out = tmp_path / "report.json"
+    assert run(["run-oracle", "--circuit", str(path), "--mode", "sample",
+                "--shots", "200", "--seed", "3"], str(out)) == 0
+    payload = json.loads(out.read_text())["payload"]
+    assert payload["exact_comparison"] is False
+    probs = payload["empirical"]["probs"]
+    assert payload["empirical"]["length"] == 64
+    assert list(probs) == sorted(probs) and len(probs) > 1
+    assert abs(sum(probs.values()) - 1.0) <= 1e-12
+
+
 def test_branch_guard_env_override(instance_file, tmp_path, monkeypatch):
     inst = json.loads(open(instance_file).read())
     monkeypatch.setenv("NCMO_MAX_BRANCHES", "1")
@@ -372,10 +391,15 @@ def _with_probs(probs):
     (_law_scheme(pp=5), "'pp'"),
     (_law_scheme(pp="0a"), "'pp'"),
     (_law_scheme(pp=5, source=PREP_SOURCE), "'pp'"),
+    (_law_scheme(setup={"length": 1, "probs": {"0": 1.0}},
+                 source={"laws": {"0": {"length": 2, "probs": {"00": 1.0}},
+                                  "x": {"length": 2, "probs": {"11": 1.0}}}}),
+     "'x'"),
 ], ids=["junk-x", "puzz-true", "puzz-string", "ans-float", "prob-x",
         "prob-string", "prob-nan", "prob-inf", "probs-list", "probs-string",
         "setup-null", "setup-beside-law", "setup-beside-circuit",
-        "pp-beside-laws", "pp-int-law", "pp-not-bits", "pp-int-circuit"])
+        "pp-beside-laws", "pp-int-law", "pp-not-bits", "pp-int-circuit",
+        "laws-key-outside-setup"])
 def test_malformed_scheme_fields_are_input_errors(obj, field, tmp_path,
                                                   capsys):
     path = tmp_path / "scheme.json"
@@ -384,6 +408,18 @@ def test_malformed_scheme_fields_are_input_errors(obj, field, tmp_path,
     assert run(["run-dcr", "--scheme", str(path)], str(out)) == 3
     assert field in _one_line_error(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("pp", ["x", "00", "0b1", ""])
+def test_run_dcr_pp_outside_the_setup_is_an_input_error(pp, tmp_path,
+                                                         capsys):
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps(_law_scheme(pp="1")))
+    out = tmp_path / "never.json"
+    assert run(["run-dcr", "--scheme", str(path), "--pp", pp], str(out)) == 3
+    assert repr(pp) in _one_line_error(capsys)
+    assert not out.exists()
+    assert run(["run-dcr", "--scheme", str(path), "--pp", "1"], str(out)) == 0
 
 
 def test_unreadable_scheme_files_are_input_errors(tmp_path, capsys):

@@ -20,7 +20,13 @@ from ncmlab.dist import (
     push_forward,
     sd,
 )
-from ncmlab.errors import ImpossibleConditionError, StructureError
+from ncmlab.errors import (
+    ImpossibleConditionError,
+    InstanceTooLargeError,
+    StructureError,
+)
+
+import string_laws
 
 ATOL = 1e-9
 
@@ -272,3 +278,52 @@ def test_condition_reconstructs_joint(d):
         suf = condition(d, u)
         parts.append((pre.prob(u), push_forward(suf, lambda s, u=u: u + s)))
     assert sd(mixture(parts), d) <= ATOL
+
+
+# -- the code algebra against the frozen string algebra ----------------------
+
+def _same_atoms(got, want):
+    assert list(got.items()) == list(want.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(dist_strategy(3), dist_strategy(2), dist_strategy(3),
+       st.floats(min_value=0.0, max_value=1.0))
+def test_code_algebra_equals_the_string_algebra(p, q, r, w):
+    _same_atoms(product([p, q, r]), string_laws.product([p, q, r]))
+    _same_atoms(product([]), string_laws.product([]))
+    assert sd(p, r) == string_laws.sd(p, r)
+    assert sd(r, p) == string_laws.sd(r, p)
+    parts = [(w, p), (1.0 - w, r)]
+    _same_atoms(mixture(parts), string_laws.mixture(parts))
+    for positions in ([0], [2, 0], [1, 2], [0, 1, 2], [2, 2]):
+        _same_atoms(marginal(p, positions),
+                    string_laws.marginal(p, positions))
+    for key in p.support:
+        for prefix in (key[:1], key[:2], key):
+            _same_atoms(condition(p, prefix),
+                        string_laws.condition(p, prefix))
+
+
+@pytest.mark.parametrize("key", [None, 0, 1, b"01", ["0", "1"], "x", "0b1",
+                                 " 01", "0_1", "+1", "-1", "0", "000", "",
+                                 "٠١"])
+def test_prob_and_in_take_any_key(key):
+    d = FiniteDist({"01": 0.5, "11": 0.5})
+    assert d.prob(key) == 0.0
+    assert key not in d
+    assert d.prob("01") == 0.5 and "11" in d
+
+
+def test_code_constructor_merges_in_input_order():
+    d = FiniteDist.from_codes(2, [3, 1, 3, 0, 1], [0.1, 0.2, 0.3, 0.0, 0.4])
+    assert d.support == ["01", "11"]
+    assert list(d.items()) == [("01", 0.2 + 0.4), ("11", 0.1 + 0.3)]
+    with pytest.raises(StructureError):
+        FiniteDist.from_codes(2, [4], [1.0])
+    with pytest.raises(StructureError):
+        FiniteDist.from_codes(2, [1], [0.0])
+    with pytest.raises(InstanceTooLargeError):
+        FiniteDist.from_codes(63, [0], [1.0])
+    with pytest.raises(InstanceTooLargeError):
+        FiniteDist({"0" * 63: 1.0})

@@ -49,7 +49,7 @@ def ref_mac_law(mac) -> FiniteDist:
             for sigma, p in mac.sign_law(x, theta, m).items():
                 flat = vk + m + sigma
                 probs[flat] = probs.get(flat, 0.0) + key_w * m_w * p
-    return FiniteDist(probs, _validate=False)
+    return FiniteDist(probs)
 
 
 def ref_groups(law: FiniteDist, p_len: int) -> dict:
@@ -120,9 +120,8 @@ def ref_col_draws(law: FiniteDist, p_len: int, trials: int, rng):
     """Three scalar FiniteDist.sample calls per trial."""
     groups = ref_groups(law, p_len)
     marg = {puzz: sum(g.values()) for puzz, g in groups.items()}
-    marg_law = FiniteDist(marg, _validate=False)
-    conds = {puzz: FiniteDist({a: w / marg[puzz] for a, w in g.items()},
-                              _validate=False)
+    marg_law = FiniteDist(marg)
+    conds = {puzz: FiniteDist({a: w / marg[puzz] for a, w in g.items()})
              for puzz, g in groups.items()}
     out = []
     for _ in range(trials):
@@ -143,7 +142,7 @@ def ref_law_of_state(scheme: DcrScheme, amps) -> FiniteDist:
         p = (a.conjugate() * a).real
         if p > 1e-14:
             probs[format(i, f"0{n}b")] = p
-    full = FiniteDist(probs, _validate=False)
+    full = FiniteDist(probs)
     if scheme.junk_len == 0:
         return full
     return marginal(full, range(scheme.puzz_len + scheme.ans_len))
@@ -254,7 +253,8 @@ def test_batched_draws_are_the_scalar_stream(seed):
     for pp in scheme.setup_law().support:
         sampler = ColSampler(scheme, pp)
         puzz, ans, ans2 = sampler.draw(np.random.default_rng(seed), 500)
-        got = [(sampler.puzzles[p], sampler.answers[a], sampler.answers[b])
+        pf, af = f"0{scheme.puzz_len}b", f"0{scheme.ans_len}b"
+        got = [(format(p, pf), format(a, af), format(b, af))
                for p, a, b in zip(puzz.tolist(), ans.tolist(), ans2.tolist())]
         want = ref_col_draws(scheme.samp_law(pp), scheme.puzz_len, 500,
                              np.random.default_rng(seed))

@@ -1,9 +1,10 @@
 """The single-shot walk and the two tree folds against the loops they replaced.
 
 ``qsim.walk`` and ``qsim.draw_readout`` now carry every single-shot run, and
-``ncmo.path_fold`` and ``ncmo.level_fold`` every per-leaf and per-node law.
-The hand-written loops they replaced are kept below as test-local
-references. Under one seed the draws must be identical and leave the
+the code-valued tree folds of ``ncmo`` and ``puzzles`` every exact law. The
+hand-written loops they replaced are kept below as test-local references;
+the law references run on the frozen bit-string algebra of
+``string_laws``. Under one seed the draws must be identical and leave the
 generator in the same state; the laws must be equal atom for atom (``==``,
 not within a tolerance).
 """
@@ -13,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from ncmlab.dist import FiniteDist, mixture, product, push_forward, sd
+from ncmlab.dist import FiniteDist
 from ncmlab.ncmo import (
     FinalOutput,
     FnMachine,
@@ -21,10 +22,11 @@ from ncmlab.ncmo import (
     PdqpInstanceFamily,
     oracle_exact,
     oracle_sample,
+    q1_law,
     q2,
+    q2_law,
     q_t,
     q_t_law,
-    suffix_readout,
 )
 from ncmlab.puzzles import (
     AuxInputPuzzleSampler,
@@ -51,11 +53,18 @@ from ncmlab.qsim import (
     run_prefix,
 )
 
+from string_laws import StrDist, mixture, product, push_forward, readout, sd
+
 ADVERSARIES = (PerfectAdversary(), ObliviousAdversary(), ConstantAdversary("0"))
 DRAWS = 12
 
 
 # -- the replaced loops ---------------------------------------------------------
+
+def suffix_readout(node_readout, m):
+    """The deleted ``ncmo.suffix_readout``: drop the first m bits."""
+    return push_forward(node_readout, lambda s: s[m:])
+
 
 def _measure_first(amps, m, n, rng):
     """The per-state collapse the step kernel replaced: draw the outcome of
@@ -132,11 +141,20 @@ def _ref_puzzle_sample(sampler, rng):
     return sampler.encode_puzz(x, t, tau), sampler.pad_ans(w)
 
 
+def _ref_guess_law(adv, x, circuit, t, node):
+    """adv.law, with the perfect guess built by the string algebra."""
+    if isinstance(adv, PerfectAdversary):
+        return suffix_readout(readout(node.state, circuit.qubits),
+                              circuit.steps[t - 1].measure)
+    return adv.law(x, circuit, t, node.outcomes)
+
+
 def _ref_oracle_exact(circuit):
     tree = enumerate_branches(circuit)
     parts = []
     for leaf in tree.leaves():
-        readouts = [node.readout for node in tree.path(leaf.outcomes)]
+        readouts = [readout(node.state, circuit.qubits)
+                    for node in tree.path(leaf.outcomes)]
         parts.append((leaf.prob, product(readouts)))
     return mixture(parts)
 
@@ -148,10 +166,10 @@ def _ref_hybrid_b_law(k, x, circuit, adv):
         dists = []
         for i, node in enumerate(tree.path(leaf.outcomes), start=1):
             if i <= k:
-                dists.append(node.readout)
+                dists.append(readout(node.state, circuit.qubits))
             else:
                 u = node.outcomes[-1]
-                guess = adv.law(x, circuit, i, node.outcomes)
+                guess = _ref_guess_law(adv, x, circuit, i, node)
                 dists.append(push_forward(guess, lambda s, u=u: u + s))
         parts.append((leaf.prob, product(dists)))
     return mixture(parts)
@@ -164,10 +182,50 @@ def _ref_step_pair_law(x, circuit, t, adv):
     for node in enumerate_branches(circuit).nodes_at(t):
         flat = "".join(node.outcomes)
         if adv is None:
-            law = suffix_readout(node.readout, m)
+            law = suffix_readout(readout(node.state, circuit.qubits), m)
         else:
-            law = adv.law(x, circuit, t, node.outcomes)
+            law = _ref_guess_law(adv, x, circuit, t, node)
         parts.append((node.prob, push_forward(law, lambda s, f=flat: f + s)))
+    return mixture(parts)
+
+
+def _ref_q1_law(circuit, tau):
+    base = enumerate_branches(circuit).node(tuple(tau))
+    out = {}
+
+    def walk(node, acc):
+        if node.depth == circuit.depth:
+            out[acc] = out.get(acc, 0.0) + node.prob / base.prob
+            return
+        for ch in node.children:
+            walk(ch, acc + ch.outcomes[-1])
+
+    walk(base, "")
+    return StrDist(out)
+
+
+def _ref_q2_law(circuit, tau):
+    nodes = enumerate_branches(circuit).path(tuple(tau))
+    return product([suffix_readout(readout(node.state, circuit.qubits),
+                                   circuit.steps[i].measure)
+                    for i, node in enumerate(nodes)])
+
+
+def _ref_joint_law(sampler):
+    parts = []
+    for x in sampler.instances.support:
+        px = sampler.instances.prob(x)
+        c = sampler.circuit(x)
+        tree = enumerate_branches(c)
+        for t in range(1, c.depth + 1):
+            m = c.steps[t - 1].measure
+            for node in tree.nodes_at(t):
+                puzz = sampler.encode_puzz(x, t, node.outcomes)
+                w_law = suffix_readout(readout(node.state, c.qubits), m)
+                parts.append((
+                    px * node.prob / c.depth,
+                    push_forward(w_law,
+                                 lambda s, p=puzz: p + sampler.pad_ans(s))))
     return mixture(parts)
 
 
@@ -196,7 +254,7 @@ def _same_stream(draw_new, draw_ref, seed):
     assert a.bit_generator.state == b.bit_generator.state
 
 
-def _family(circuits):
+def _family(circuits, weights=None):
     keys = [format(i, "02b") for i in range(len(circuits))]
     table = dict(zip(keys, circuits))
 
@@ -205,7 +263,8 @@ def _family(circuits):
             return NextQuery(table[x])
         return FinalOutput(history[0].reads[0])
 
-    law = FiniteDist({k: 1.0 / len(keys) for k in keys})
+    weights = weights or [1.0] * len(keys)
+    law = FiniteDist({k: w / sum(weights) for k, w in zip(keys, weights)})
     return PdqpInstanceFamily(machine=FnMachine(fn, query_bound=1),
                               instance_laws={2: law})
 
@@ -280,6 +339,28 @@ def test_tree_laws_equal_the_replaced_loops(i):
             sd(laws[t - 1], laws[t]) for t in range(1, c.depth + 1))
         assert report.step_gaps == _ref_step_gaps("0", c, adv)
         assert report.endpoint_gap == sd(laws[0], laws[-1])
+
+
+@pytest.mark.parametrize("i", range(len(CIRCUITS)))
+def test_partial_view_laws_equal_the_replaced_loops(i):
+    c = CIRCUITS[i]
+    tree = enumerate_branches(c)
+    for t in range(c.depth + 1):
+        for node in tree.nodes_at(t):
+            _same_law(q1_law(c, node.outcomes), _ref_q1_law(c, node.outcomes))
+            _same_law(q2_law(c, node.outcomes), _ref_q2_law(c, node.outcomes))
+
+
+def test_puzzle_joint_laws_equal_the_replaced_loop():
+    # instance weights that are not powers of two, so that the order of
+    # px * Pr[node] / depth * Pr[read] shows in the last bit
+    samplers = [InstancePuzzleSampler(_family(CIRCUITS[j:j + 4], [1, 2, 3, 4]),
+                                      2)
+                for j in range(0, len(CIRCUITS), 4)]
+    samplers.append(AuxInputPuzzleSampler(_family(CIRCUITS[:4]),
+                                          encode_aux_input("10", 0.25)))
+    for samp in samplers:
+        _same_law(samp.joint_law(), _ref_joint_law(samp))
 
 
 def test_per_step_terms_equal_the_replaced_loop():
