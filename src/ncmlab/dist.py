@@ -143,7 +143,8 @@ class FiniteDist:
 
     @classmethod
     def point(cls, s: str) -> "FiniteDist":
-        return cls.from_codes(len(s), [int(check_bits(s) or "0", 2)], [1.0])
+        check_bits(s)
+        return cls.from_codes(len(s), [int(s or "0", 2)], [1.0])
 
     @classmethod
     def uniform(cls, length: int) -> "FiniteDist":

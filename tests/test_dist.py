@@ -327,3 +327,5 @@ def test_code_constructor_merges_in_input_order():
         FiniteDist.from_codes(63, [0], [1.0])
     with pytest.raises(InstanceTooLargeError):
         FiniteDist({"0" * 63: 1.0})
+    with pytest.raises(StructureError):
+        FiniteDist.point(5)
