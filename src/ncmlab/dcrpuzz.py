@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import FiniteDist, condition, empirical, marginal, sd
+from .dist import FiniteDist, condition, empirical, marginal, ragged_blocks, sd
 from .errors import InstanceTooLargeError, ParseError, StructureError
 from .ncmo import oracle_exact, oracle_sample
 from .qsim import (
@@ -233,15 +233,15 @@ class ColSampler:
         self._puzz = rows[starts]
         self._cols = cols
         # per-row masses and conditional cumsums, both summed left to
-        # right, the order of the scalar sampler's Python sums
+        # right, the order of the scalar sampler's Python sums; rows of
+        # one length are one block
         marg = np.empty(len(starts))
         self._atoms = np.empty(len(w), dtype=_ROW_CUM)
         self._atoms["row"] = rows
-        for r, (s, e) in enumerate(zip(starts.tolist(),
-                                       self._ends.tolist())):
-            seg = w[s:e]
-            marg[r] = np.cumsum(seg)[-1]
-            self._atoms["cum"][s:e] = np.cumsum(seg / marg[r])
+        for r, at in ragged_blocks(self._ends - starts):
+            seg = w[at]
+            marg[r] = np.cumsum(seg, axis=1)[:, -1]
+            self._atoms["cum"][at] = np.cumsum(seg / marg[r][:, None], axis=1)
         self._marg_cum = np.cumsum(marg)
 
     def draw(self, rng: np.random.Generator,

@@ -294,6 +294,26 @@ class EmpiricalDist:
         return {"length": len(next(iter(probs))), "probs": probs}
 
 
+def ragged_blocks(lengths: np.ndarray):
+    """Rows of a ragged array, stored flat in row order, grouped by length.
+
+    Yields ``(rows, at)`` per distinct row length k: the indices of the
+    rows of that length, ascending, and the (len(rows), k) positions of
+    their entries in the flat array, so ``flat[at]`` is one 2-D block
+    whose i-th row is row ``rows[i]``. ``sum`` and ``cumsum`` along axis 1
+    of such a block give each row's 1-D result bit for bit, so the
+    samplers reduce a group in one call and keep the scalar arithmetic.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if len(lengths) == 0:
+        return
+    starts = np.cumsum(lengths) - lengths
+    order = np.argsort(lengths, kind="stable")
+    cuts = np.flatnonzero(np.diff(lengths[order])) + 1
+    for rows in np.split(order, cuts):
+        yield rows, starts[rows][:, None] + np.arange(lengths[rows[0]])
+
+
 def empirical(samples: Iterable[str]) -> EmpiricalDist:
     counts: dict[str, int] = {}
     n = 0

@@ -14,9 +14,13 @@ draws from it by direct simulation (``qsim.walk`` for the collapses,
 ``qsim.draw_readout`` for each read); ``oracle_read_codes`` draws many calls
 at once, one ``qsim`` kernel pass per step, and returns their readouts as
 basis indices, which ``dist.empirical_codes`` counts without a string per shot
-(``oracle_sample_many`` formats the same draws as bit strings). ``q_t``,
-``q1`` and ``q2`` expose the partial views used by the puzzle
-constructions.
+(``oracle_sample_many`` formats the same draws as bit strings). Its draw
+order, per shot group and step: one ``multinomial`` for the collapse, then
+one ``rng.random(size)`` for all of the group's reads, each child's share
+inverted through that child's readout cdf the way ``Generator.choice`` does
+it; that is the stream of one ``choice`` call per child, so seeded reads are
+unchanged. ``q_t``, ``q1`` and ``q2`` expose the partial views used by the
+puzzle constructions.
 
 Exact laws over the branch tree are built on integer codes (see ``dist``),
 with transcripts and reads joined by shifts. ``path_fold`` sums, over the
@@ -41,7 +45,14 @@ from typing import Callable
 
 import numpy as np
 
-from .dist import FiniteDist, check_bits, marginal, prefixed_mixture, product
+from .dist import (
+    FiniteDist,
+    check_bits,
+    marginal,
+    prefixed_mixture,
+    product,
+    ragged_blocks,
+)
 from .errors import (
     InstanceTooLargeError,
     ProtocolError,
@@ -94,16 +105,49 @@ def oracle_sample(circuit: Circuit, rng: np.random.Generator) -> OracleOutput:
     return OracleOutput(reads=tuple(reads))
 
 
+def _readout_cdfs(states: np.ndarray) -> np.ndarray:
+    """Per stacked state, the cdf ``Generator.choice`` builds from its Born
+    atoms above READOUT_PRUNE_TOL, spread over the full 2^n width.
+
+    As in ``choice(len(w), p=w / w.sum())``: w is summed as a 1-D array,
+    p = w / sum, cdf = p.cumsum(), cdf /= cdf[-1]. A pruned entry is 0,
+    so it repeats the partial sum before it, and a right search of a
+    uniform in row r lands on the basis index ``choice`` picks from r's
+    atoms. A state with no atom, or with a sum that is not finite, raises
+    instead of giving a NaN cdf.
+    """
+    born = np.abs(states) ** 2
+    keep = born > READOUT_PRUNE_TOL
+    atoms = born[keep]
+    total = np.empty(len(born))
+    for rows, at in ragged_blocks(keep.sum(axis=1)):
+        total[rows] = atoms[at].sum(axis=1)
+    bad = np.flatnonzero(~(np.isfinite(total) & (total > 0.0)))
+    if len(bad):
+        raise RuntimeError(
+            f"stacked state {int(bad[0])} has no finite readout mass above "
+            f"the prune tolerance (sum {total[bad[0]]!r})")
+    born[~keep] = 0.0
+    born /= total[:, None]
+    cdf = np.cumsum(born, axis=1, out=born)
+    cdf /= cdf[:, -1:]
+    return cdf
+
+
 def oracle_read_codes(circuit: Circuit, shots: int,
                       rng: np.random.Generator) -> np.ndarray:
     """Batched oracle calls as basis indices, one simulation per branch prefix.
 
     Returns an int64 array of shape (shots, T) whose row i holds shot i's T
     full-width readouts as basis indices (qubit 0 is the high bit). Each
-    step evolves every shot group as one stack, splits each group
-    multinomially at the collapse and draws all of a split's readouts at
-    once. The per-shot law is identical to ``oracle_sample``; only the
-    bookkeeping is batched.
+    step evolves every shot group as one stack and splits it at the
+    collapse into children, one per outcome drawn. Draw order, group by
+    group: one ``multinomial`` for the split (none when the step measures
+    nothing), then one ``rng.random(size)`` for all of the group's reads,
+    each child's share inverted through that child's readout cdf the way
+    ``Generator.choice`` does it. That is the stream of one ``choice`` call
+    per child, so seeded reads are unchanged. The per-shot law is
+    identical to ``oracle_sample``; only the bookkeeping is batched.
     """
     if shots < 0:
         raise StructureError(f"shots must be nonnegative, got {shots}")
@@ -117,26 +161,24 @@ def oracle_read_codes(circuit: Circuit, shots: int,
         m = step.measure
         evolved = apply_step_unitary(states, step, n)
         cond = outcome_probs(evolved, m, n)
-        posts, outcomes, next_sizes, lo = [], [], [], 0
+        parents, outcomes, counts, uniforms = [], [], [], []
         for g, size in enumerate(sizes):
-            idx, counts, post = [0], [size], evolved[g:g + 1]
             if m:
                 probs = np.clip(cond[g], 0.0, None)
-                counts = rng.multinomial(size, probs / probs.sum())
-                idx = np.flatnonzero(counts)
-                counts = counts[idx].tolist()
-                post = project(evolved, m, np.full(len(idx), g), idx, cond)
-            for state, cnt in zip(post, counts):
-                born = np.abs(state) ** 2
-                support = np.flatnonzero(born > READOUT_PRUNE_TOL)
-                w = born[support]
-                picks = rng.choice(len(support), size=cnt, p=w / w.sum())
-                reads[lo:lo + cnt, t] = support[picks]
-                lo += cnt
-            posts.append(post)
-            outcomes.extend(idx)
-            next_sizes.extend(counts)
-        states, sizes = np.concatenate(posts), next_sizes
+                split = rng.multinomial(size, probs / probs.sum())
+                idx = np.flatnonzero(split)
+                parents.extend([g] * len(idx))
+                outcomes.extend(idx.tolist())
+                counts.extend(split[idx].tolist())
+            else:
+                counts.append(size)
+            uniforms.append(rng.random(size))
+        states = project(evolved, m, parents, outcomes, cond) if m else evolved
+        cdf, u = _readout_cdfs(states), np.concatenate(uniforms)
+        ends = np.cumsum(counts).tolist()
+        for row, lo, hi in zip(cdf, [0] + ends, ends):
+            reads[lo:hi, t] = row.searchsorted(u[lo:hi], side="right")
+        sizes = counts
         # every readout must extend its branch's collapsing outcome
         if m and not np.array_equal(reads[:, t] >> (n - m),
                                     np.repeat(outcomes, sizes)):
@@ -147,10 +189,14 @@ def oracle_read_codes(circuit: Circuit, shots: int,
 
 def oracle_sample_many(circuit: Circuit, shots: int,
                        rng: np.random.Generator) -> list[OracleOutput]:
-    """``oracle_read_codes`` with each readout formatted as a bit string."""
+    """``oracle_read_codes`` with each readout formatted as a bit string;
+    each distinct code is formatted once."""
+    codes = oracle_read_codes(circuit, shots, rng)
     fmt = f"0{circuit.qubits}b"
-    return [OracleOutput(reads=tuple(format(v, fmt) for v in row))
-            for row in oracle_read_codes(circuit, shots, rng).tolist()]
+    name = {v: format(v, fmt) for v in set(codes.ravel().tolist())}.get
+    # a circuit has at least one step, so the columns zip to every shot
+    return [OracleOutput(reads=reads) for reads in
+            zip(*(map(name, col) for col in codes.T.tolist()))]
 
 
 def _guard_output_bits(circuit: Circuit, what: str):

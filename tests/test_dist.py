@@ -18,6 +18,7 @@ from ncmlab.dist import (
     mixture,
     product,
     push_forward,
+    ragged_blocks,
     sd,
 )
 from ncmlab.errors import (
@@ -329,3 +330,24 @@ def test_code_constructor_merges_in_input_order():
         FiniteDist({"0" * 63: 1.0})
     with pytest.raises(StructureError):
         FiniteDist.point(5)
+
+
+def test_ragged_blocks_reduce_like_each_row():
+    rng = np.random.default_rng(5)
+    lengths = rng.integers(0, 300, size=80)
+    lengths[:3] = (0, 7, 7)
+    flat = rng.random(int(lengths.sum())) ** 3
+    starts = np.cumsum(lengths) - lengths
+    seen = []
+    for rows, at in ragged_blocks(lengths):
+        assert len(set(lengths[rows].tolist())) == 1
+        assert list(rows) == sorted(rows)
+        block = flat[at]
+        for i, r in enumerate(rows.tolist()):
+            row = flat[starts[r]:starts[r] + lengths[r]]
+            assert np.array_equal(block[i], row)
+            assert block[i].sum() == block.sum(axis=1)[i] == row.sum()
+            assert np.array_equal(np.cumsum(block, axis=1)[i], np.cumsum(row))
+        seen.extend(rows.tolist())
+    assert sorted(seen) == list(range(len(lengths)))
+    assert list(ragged_blocks(np.zeros(0, dtype=np.int64))) == []

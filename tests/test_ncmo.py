@@ -378,6 +378,102 @@ def test_batched_reads_equal_the_string_walk():
         assert codes.tolist() == [[int(v, 2) for v in row] for row in want]
 
 
+def _assert_reads_are_the_reference(c, shots, seed):
+    want = _reference_reads(c, shots, np.random.default_rng(seed))
+    got = oracle_read_codes(c, shots, np.random.default_rng(seed))
+    assert got.tolist() == [[int(v, 2) for v in row] for row in want]
+
+
+def _dense(rng, n, measures):
+    """Every qubit rotated, then a CNOT chain, in every step: readouts keep
+    their full support, the wide branch trees of the benchmark."""
+    return Circuit(qubits=n, steps=tuple(
+        Step(gates=tuple(Gate("u1q", (q,), matrix=random_unitary_2x2(rng))
+                         for q in range(n))
+             + tuple(Gate("cnot", (q, q + 1)) for q in range(n - 1)),
+             measure=m)
+        for m in measures))
+
+
+@pytest.mark.parametrize("n, measures, shots", [
+    (6, (5, 5), 1024), (7, (4, 5), 512), (8, (4, 4), 256), (8, (3, 5), 1024)])
+def test_wide_tree_reads_equal_the_string_walk(n, measures, shots):
+    rng = np.random.default_rng(n * 100 + shots)
+    c = _dense(rng, n, measures)
+    _assert_reads_are_the_reference(c, shots, int(rng.integers(1 << 31)))
+
+
+def _ragged_circuit(seed):
+    """A 5-qubit prep vector whose four step-1 outcome blocks keep 8, 6, 4
+    and 2 atoms, with some amplitudes scaled by 1e-8 (Born weight under
+    READOUT_PRUNE_TOL); then a step that measures nothing after the split,
+    and a step that mixes and measures again."""
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=32) + 1j * rng.normal(size=32)
+    blocks = amps.reshape(4, 8)
+    for b in range(4):
+        blocks[b, 8 - 2 * b:] = 0.0
+        blocks[b, rng.integers(0, 8 - 2 * b)] *= 1e-8
+    amps /= np.linalg.norm(amps)
+    return Circuit(qubits=5, steps=(
+        Step(gates=(Gate("prep", (), matrix=amps),), measure=2),
+        Step(gates=(Gate("x", (4,)), Gate("s", (3,))), measure=0),
+        Step(gates=(Gate("h", (2,)), Gate("cnot", (2, 4))), measure=3)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ragged_reads_equal_the_string_walk(seed):
+    c = _ragged_circuit(seed)
+    # the step-1 children have four support sizes and pruned weights
+    born = [np.abs(node.state) ** 2
+            for node in enumerate_branches(c).level(1)[0]]
+    assert len({int((w > qsim.READOUT_PRUNE_TOL).sum()) for w in born}) == 4
+    assert any(((w > 0) & (w <= qsim.READOUT_PRUNE_TOL)).any() for w in born)
+    _assert_reads_are_the_reference(c, 2000, seed)
+
+
+def test_readout_cdfs_invert_like_choice():
+    # one stack of rows with many support sizes, from 1 atom to 256, so
+    # the grouped sums cover numpy's short, blocked and split pairwise sums
+    rng = np.random.default_rng(11)
+    width = 256
+    states = rng.normal(size=(60, width)) + 1j * rng.normal(size=(60, width))
+    for r, row in enumerate(states):
+        row[rng.random(width) < r / 60] = 0.0
+        row[rng.random(width) < 0.1] *= 1e-8
+        row[rng.integers(width)] = 1.0
+    cdf = ncmo._readout_cdfs(states)
+    for r, row in enumerate(states):
+        born = np.abs(row) ** 2
+        support = np.flatnonzero(born > qsim.READOUT_PRUNE_TOL)
+        w = born[support]
+        # Generator.choice's own cdf, to the bit: draws alone rarely show
+        # a last-bit difference
+        p = w / w.sum()
+        want_cdf = p.cumsum()
+        want_cdf /= want_cdf[-1]
+        assert np.array_equal(cdf[r][support], want_cdf)
+        want = np.random.default_rng(r).choice(len(support), size=64, p=p)
+        u = np.random.default_rng(r).random(64)
+        assert np.array_equal(cdf[r].searchsorted(u, side="right"),
+                              support[want])
+
+
+@pytest.mark.parametrize("fill", [0.0, np.inf, np.nan],
+                         ids=["no-atom", "inf", "nan"])
+def test_reads_of_a_state_without_readout_mass_raise(monkeypatch, fill):
+    c = bell_circuit(measure_first_step=1, extra_steps=0)
+
+    def broken(states, m, rows, outcomes, cond):
+        post = qsim.project(states, m, rows, outcomes, cond)
+        post[0] = fill
+        return post
+
+    monkeypatch.setattr(ncmo, "project", broken)
+    with pytest.raises(RuntimeError, match="no finite readout mass"):
+        oracle_read_codes(c, 200, np.random.default_rng(3))
+
+
 # -- the step kernel against the per-state recursion ------------------------------
 
 def _evolve(amps, step, n):
