@@ -405,9 +405,9 @@ def test_wide_tree_reads_equal_the_string_walk(n, measures, shots):
 
 def _ragged_circuit(seed):
     """A 5-qubit prep vector whose four step-1 outcome blocks keep 8, 6, 4
-    and 2 atoms, with some amplitudes scaled by 1e-8 (Born weight under
-    READOUT_PRUNE_TOL); then a step that measures nothing after the split,
-    and a step that mixes and measures again."""
+    and 2 nonzero amplitudes, one in each scaled by 1e-8 so that its Born
+    weight falls under READOUT_PRUNE_TOL; then a step that measures nothing
+    after the split, and a step that mixes and measures again."""
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=32) + 1j * rng.normal(size=32)
     blocks = amps.reshape(4, 8)
