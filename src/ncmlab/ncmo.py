@@ -23,14 +23,17 @@ unchanged. ``q_t``, ``q1`` and ``q2`` expose the partial views used by the
 puzzle constructions.
 
 Exact laws over the branch tree are built on integer codes (see ``dist``),
-with transcripts and reads joined by shifts. ``path_fold`` sums, over the
-leaves, Pr[leaf] times the product of one read law per step along the
-leaf's path, extending each parent's codes level by level:
-``oracle_exact`` and ``puzzles.hybrid_b_law`` use it. ``level_fold`` sums,
-over the step-t nodes, Pr[node] times tau_t joined to one law per node:
-``puzzles.step_pair_law`` uses it. ``q_t_law`` and
-``puzzles.InstancePuzzleSampler.joint_law`` read a whole level's Born
-weights from its stacked states in one pass.
+with transcripts and reads joined by shifts, and folded on the tree's level
+arrays (``qsim.Level``), with no law object per node. ``path_fold`` sums,
+over the leaves, Pr[leaf] times the product of one read law per step along
+the leaf's path; it takes each step's read laws as one ragged law over the
+level's nodes and extends every parent's codes in one gather per level:
+``oracle_exact`` and ``puzzles.hybrid_b_law`` use it. ``q_t_law``,
+``puzzles.step_pair_law`` and ``puzzles.InstancePuzzleSampler.joint_law``
+join each step-t node's tau_t to a ragged suffix law over the level in one
+pass; the Born weights come from the level's stacked states
+(``Level.reads``), the guesses from ``StepAdversary.level_law``, which for a
+custom adversary calls its per-node ``law``.
 
 Machines: a BaseMachine is a deterministic map from (instance, accuracy,
 answers so far) to either the next query or a final output. Sessions against
@@ -45,14 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dist import (
-    FiniteDist,
-    check_bits,
-    marginal,
-    prefixed_mixture,
-    product,
-    ragged_blocks,
-)
+from .dist import FiniteDist, check_bits, marginal, product, ragged_blocks
 from .errors import (
     InstanceTooLargeError,
     ProtocolError,
@@ -61,9 +57,9 @@ from .errors import (
 )
 from .qsim import (
     READOUT_PRUNE_TOL,
-    BranchNode,
     BranchTree,
     Circuit,
+    Level,
     apply_step_unitary,
     draw_readout,
     enumerate_branches,
@@ -208,50 +204,52 @@ def _guard_output_bits(circuit: Circuit, what: str):
             f"(q_t, q1, q2) instead.")
 
 
+def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """arange(starts[i], starts[i] + lengths[i]) for every i, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1]) - np.repeat(ends - lengths - starts, lengths)
+
+
 def path_fold(circuit: Circuit,
-              read_law: Callable[[int, BranchNode], FiniteDist]) -> FiniteDist:
-    """Sum over leaves of Pr[leaf] * (read_law(1, node_1) x ... x
-    read_law(T, node_T)), node_i being the leaf's step-i node.
+              read_law: Callable[[int, Level], tuple]) -> FiniteDist:
+    """Sum over leaves of Pr[leaf] * (r_1 x ... x r_T), r_i being the
+    n-bit read law of the leaf's step-i node, folded on the tree's level
+    arrays.
 
-    Each node extends its parent's (codes, weights) by its read law, one
-    level at a time, so a shared path prefix is multiplied out once.
+    ``read_law(i, level)`` gives the read laws of all step-i nodes as one
+    ragged law ``(rows, codes, weights)``: node ``rows[j]`` has the n-bit
+    atom ``codes[j]`` with weight ``weights[j]``, rows ascending. Each
+    level extends every parent's (codes, weights) in one gather, entries
+    ordered by child, then by parent entry, then by atom, so a shared path
+    prefix is multiplied out once and equal codes merge in the order of a
+    node-by-node fold. The leaf probabilities multiply in last.
     """
-    # (node, bits so far, codes, weights) per node of the current level
-    level = [(enumerate_branches(circuit).root, 0,
-              np.zeros(1, dtype=np.int64), np.ones(1))]
-    for i in range(1, circuit.depth + 1):
-        nxt = []
-        for node, width, codes, weights in level:
-            for child in node.children:
-                law = read_law(i, child)
-                nxt.append((child, width + law.length,
-                            ((codes[:, None] << law.length)
-                             | law.codes).ravel(),
-                            (weights[:, None] * law.weights).ravel()))
-        level = nxt
-    widths = {width for _, width, _, _ in level}
-    if len(widths) != 1:
-        raise StructureError(f"read laws give paths of {sorted(widths)} bits")
-    return FiniteDist.from_codes(
-        widths.pop(), np.concatenate([codes for _, _, codes, _ in level]),
-        np.concatenate([leaf.prob * w for leaf, _, _, w in level]))
-
-
-def level_fold(circuit: Circuit, t: int,
-               law_at: Callable[[BranchNode], FiniteDist]) -> FiniteDist:
-    """Sum over step-t nodes of Pr[node] * (tau_t || law_at(node)), the
-    transcript flattened."""
-    nodes, taus = enumerate_branches(circuit).level(t)
-    return prefixed_mixture(
-        ((node.prob, tau, law_at(node))
-         for node, tau in zip(nodes, taus.tolist())),
-        sum(circuit.measure_widths()[:t]))
+    levels, n = enumerate_branches(circuit).levels, circuit.qubits
+    # the level's entries, grouped by node (sizes[c] of node c), each a
+    # code so far and its weight
+    rows, codes, weights = read_law(1, levels[1])
+    sizes = np.bincount(rows, minlength=len(levels[1].parent))
+    for i in range(2, circuit.depth + 1):
+        parent = levels[i].parent
+        rows, r, rw = read_law(i, levels[i])
+        atoms = np.bincount(rows, minlength=len(parent))
+        # child c's entries: one run per entry of its parent, in order,
+        # each run c's atoms in order
+        runs = sizes[parent]
+        pick = _ragged_arange((np.cumsum(sizes) - sizes)[parent], runs)
+        width = np.repeat(atoms, runs)
+        at = _ragged_arange(np.repeat(np.cumsum(atoms) - atoms, runs), width)
+        codes = (np.repeat(codes[pick], width) << n) | r[at]
+        weights = np.repeat(weights[pick], width) * rw[at]
+        sizes = runs * atoms
+    return FiniteDist.from_codes(circuit.depth * n, codes,
+                                 np.repeat(levels[-1].probs, sizes) * weights)
 
 
 def oracle_exact(circuit: Circuit) -> FiniteDist:
     """Exact joint law of (v_1, ..., v_T), concatenated."""
     _guard_output_bits(circuit, "oracle_exact")
-    return path_fold(circuit, lambda i, node: node.readout)
+    return path_fold(circuit, lambda i, level: level.reads())
 
 
 # -- partial views ------------------------------------------------------------
@@ -269,19 +267,17 @@ def q_t(circuit: Circuit, t: int,
     return tau, draw_readout(state, circuit.qubits, rng)[len(tau[-1]):]
 
 
-def _level_reads(circuit: Circuit, t: int):
-    """Every readout atom of the step-t nodes, read from their stacked
-    states in one pass: (probs, taus, rows, suffixes, born), the nodes'
-    probabilities and transcript codes in tree order, then per atom its
-    node's row, the code of its last n - m_t bits (its first m_t are the
-    node's u_t) and its Born weight above READOUT_PRUNE_TOL, as in
-    ``qsim.readout_dist``."""
-    nodes, taus = enumerate_branches(circuit).level(t)
-    born = np.abs(np.stack([node.state for node in nodes])) ** 2
-    rows, cols = np.nonzero(born > READOUT_PRUNE_TOL)
+def _tau_law(circuit: Circuit, t: int, rows: np.ndarray,
+             suffixes: np.ndarray, weights: np.ndarray) -> FiniteDist:
+    """Sum over step-t nodes of Pr[node] * (tau_t || the node's suffix
+    law), the suffix laws given as one ragged law over the level: node
+    ``rows[j]`` has the (n - m_t)-bit suffix ``suffixes[j]`` with weight
+    ``weights[j]``."""
+    level = enumerate_branches(circuit).levels[t]
     w = circuit.qubits - circuit.steps[t - 1].measure
-    return (np.array([node.prob for node in nodes]), taus, rows,
-            cols & ((1 << w) - 1), born[rows, cols])
+    return FiniteDist.from_codes(sum(circuit.measure_widths()[:t]) + w,
+                                 (level.taus[rows] << w) | suffixes,
+                                 level.probs[rows] * weights)
 
 
 # q_t_law, q1_law and q2_law take an optional third argument that is not
@@ -291,11 +287,9 @@ def q_t_law(circuit: Circuit, t: int,
             tree: BranchTree | None = None) -> FiniteDist:
     """Exact law of tau_t || w_t, transcripts flattened."""
     _check_step_index(circuit, t)
-    probs, taus, rows, suffixes, born = _level_reads(circuit, t)
+    rows, codes, born = enumerate_branches(circuit).levels[t].reads()
     w = circuit.qubits - circuit.steps[t - 1].measure
-    return FiniteDist.from_codes(sum(circuit.measure_widths()[:t]) + w,
-                                 (taus[rows] << w) | suffixes,
-                                 probs[rows] * born)
+    return _tau_law(circuit, t, rows, codes & ((1 << w) - 1), born)
 
 
 def _validate_transcript(circuit: Circuit, tau: Transcript):
@@ -316,13 +310,12 @@ def q1_law(circuit: Circuit, tau: Transcript,
     _validate_transcript(circuit, tau)
     tree = enumerate_branches(circuit)
     base = tree.node(tuple(tau))
-    leaves, codes = tree.level(circuit.depth)
+    leaves = tree.levels[circuit.depth]
     rest = sum(circuit.measure_widths()[len(tau):])
     # the leaves below tau are those whose transcript codes begin with it
-    below = codes >> rest == int("".join(tau) or "0", 2)
-    return FiniteDist.from_codes(
-        rest, codes[below] & ((1 << rest) - 1),
-        np.array([leaf.prob for leaf in leaves])[below] / base.prob)
+    below = leaves.taus >> rest == int("".join(tau) or "0", 2)
+    return FiniteDist.from_codes(rest, leaves.taus[below] & ((1 << rest) - 1),
+                                 leaves.probs[below] / base.prob)
 
 
 def q2_law(circuit: Circuit, tau: Transcript,

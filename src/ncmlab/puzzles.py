@@ -47,9 +47,8 @@ from .ncmo import (
     PdqpInstanceFamily,
     Transcript,
     _guard_output_bits,
-    _level_reads,
     _rejection_run,
-    level_fold,
+    _tau_law,
     oracle_exact,
     oracle_sample,
     path_fold,
@@ -68,9 +67,17 @@ T_FIELD_BITS = 8
 class StepAdversary:
     """Guesses the unread suffix w_t from (x, circuit, t, tau_t).
 
-    ``law`` is the exact guess distribution, used by every closed-form
-    identity; ``guess`` draws from it (or from whatever process the kind
-    defines). Build one per conceptual attacker.
+    ``law`` is the exact guess distribution at one node, an (n - m_t)-bit
+    law; ``guess`` draws from it (or from whatever process the kind
+    defines). ``level_law(x, circuit, t)`` is the same law at every step-t
+    node at once, as one ragged law over the level ``(rows, suffixes,
+    weights)``: node ``rows[j]`` (tree order, rows ascending) guesses the
+    suffix code ``suffixes[j]`` with weight ``weights[j]``, each node's
+    codes ascending and distinct, as ``law``'s ``codes`` and ``weights``.
+    Every closed-form identity reads ``level_law``. The built-in kinds
+    compute it from the level's arrays; the default calls ``law`` once per
+    node, so a custom adversary need only define ``law``. Build one per
+    conceptual attacker.
     """
 
     kind = "custom"
@@ -79,9 +86,32 @@ class StepAdversary:
             tau: Transcript) -> FiniteDist:
         raise NotImplementedError
 
+    def level_law(self, x: str, circuit: Circuit, t: int) -> tuple:
+        """``law`` at each step-t node, each checked to be n - m_t bits
+        wide: a wider suffix would overwrite u_t's bits in the folds."""
+        nodes = enumerate_branches(circuit).levels[t].nodes
+        w = _suffix_width(circuit, t)
+        laws = [self.law(x, circuit, t, node.outcomes) for node in nodes]
+        for law in laws:
+            if law.length != w:
+                raise StructureError(
+                    f"step {t} guess law is {law.length} bits wide; the "
+                    f"unread suffix has {w}")
+        return (np.repeat(np.arange(len(laws)), [len(law) for law in laws]),
+                np.concatenate([law.codes for law in laws]),
+                np.concatenate([law.weights for law in laws]))
+
     def guess(self, x: str, circuit: Circuit, t: int, tau: Transcript,
               rng: np.random.Generator) -> str:
         return self.law(x, circuit, t, tau).sample(rng)
+
+
+def _suffix_width(circuit: Circuit, t: int) -> int:
+    return circuit.qubits - circuit.steps[t - 1].measure
+
+
+def _level_size(circuit: Circuit, t: int) -> int:
+    return len(enumerate_branches(circuit).levels[t].nodes)
 
 
 class PerfectAdversary(StepAdversary):
@@ -93,6 +123,12 @@ class PerfectAdversary(StepAdversary):
         node = enumerate_branches(circuit).node(tuple(tau))
         return marginal(node.readout,
                         range(circuit.steps[t - 1].measure, circuit.qubits))
+
+    def level_law(self, x, circuit, t):
+        # a post state's atoms all begin with its u_t, so its suffixes are
+        # its readout codes with the prefix masked off
+        rows, codes, born = enumerate_branches(circuit).levels[t].reads()
+        return rows, codes & ((1 << _suffix_width(circuit, t)) - 1), born
 
 
 class RejectionAdversary(StepAdversary):
@@ -111,6 +147,9 @@ class RejectionAdversary(StepAdversary):
     def law(self, x, circuit, t, tau):
         return self._perfect.law(x, circuit, t, tau)
 
+    def level_law(self, x, circuit, t):
+        return self._perfect.level_law(x, circuit, t)
+
     def guess(self, x, circuit, t, tau, rng):
         _, reads = _rejection_run(circuit, tuple(tau), rng, self.budget)
         return reads[t - 1][circuit.steps[t - 1].measure:]
@@ -122,7 +161,12 @@ class ObliviousAdversary(StepAdversary):
     kind = "oblivious"
 
     def law(self, x, circuit, t, tau):
-        return FiniteDist.uniform(circuit.qubits - circuit.steps[t - 1].measure)
+        return FiniteDist.uniform(_suffix_width(circuit, t))
+
+    def level_law(self, x, circuit, t):
+        k, size = _level_size(circuit, t), 1 << _suffix_width(circuit, t)
+        return (np.repeat(np.arange(k), size), np.tile(np.arange(size), k),
+                np.full(k * size, 1.0 / size))
 
 
 class ConstantAdversary(StepAdversary):
@@ -136,8 +180,12 @@ class ConstantAdversary(StepAdversary):
         self.bit = bit
 
     def law(self, x, circuit, t, tau):
-        width = circuit.qubits - circuit.steps[t - 1].measure
-        return FiniteDist.point(self.bit * width)
+        return FiniteDist.point(self.bit * _suffix_width(circuit, t))
+
+    def level_law(self, x, circuit, t):
+        k = _level_size(circuit, t)
+        code = int(self.bit) * ((1 << _suffix_width(circuit, t)) - 1)
+        return np.arange(k), np.full(k, code), np.ones(k)
 
 
 def step_adversary(kind: str) -> StepAdversary:
@@ -182,13 +230,16 @@ def hybrid_b_law(k: int, x: str, circuit: Circuit,
         raise StructureError(f"hybrid index {k} outside 0..{circuit.depth}")
     _guard_output_bits(circuit, "hybrid_b_law")
 
-    def read_law(i, node):
+    n = circuit.qubits
+
+    def read_law(i, level):
         if i <= k:
-            return node.readout
-        u = node.outcomes[-1]
-        return prefixed_mixture(
-            [(1.0, int(u or "0", 2), adv.law(x, circuit, i, node.outcomes))],
-            len(u))
+            return level.reads()
+        # a guess is read as u_i || the guessed suffix
+        rows, suffixes, weights = adv.level_law(x, circuit, i)
+        m = circuit.steps[i - 1].measure
+        u = level.taus[rows] & ((1 << m) - 1)
+        return rows, (u << (n - m)) | suffixes, weights
 
     return path_fold(circuit, read_law)
 
@@ -208,8 +259,7 @@ def step_pair_law(x: str, circuit: Circuit, t: int,
     """Law of tau_t || w_t (adv None) or tau_t || A(tau_t) (adv given)."""
     if adv is None:
         return q_t_law(circuit, t)
-    return level_fold(circuit, t,
-                      lambda node: adv.law(x, circuit, t, node.outcomes))
+    return _tau_law(circuit, t, *adv.level_law(x, circuit, t))
 
 
 def _step_gaps(x: str, circuit: Circuit,
@@ -364,14 +414,17 @@ class InstancePuzzleSampler(PuzzleSampler):
         for x, px in self.instances.items():
             c = self._circuits[x]
             for t in range(1, c.depth + 1):
-                probs, taus, rows, suffixes, born = _level_reads(c, t)
+                level = enumerate_branches(c).levels[t]
+                rows, reads, born = level.reads()
+                w = _suffix_width(c, t)
                 # puzz = (x, t) header | tau zero-padded; ans = w zero-padded
                 head = int(self.encode_puzz(x, t, ()), 2)
-                puzz = head | (taus << (self.layout.tau_width
-                                        - sum(c.measure_widths()[:t])))
-                pad = self.ans_len - (c.qubits - c.steps[t - 1].measure)
-                codes.append((puzz[rows] << self.ans_len) | (suffixes << pad))
-                weights.append((px * probs / c.depth)[rows] * born)
+                puzz = head | (level.taus << (self.layout.tau_width
+                                              - sum(c.measure_widths()[:t])))
+                suffixes = reads & ((1 << w) - 1)
+                codes.append((puzz[rows] << self.ans_len)
+                             | (suffixes << (self.ans_len - w)))
+                weights.append((px * level.probs / c.depth)[rows] * born)
         return FiniteDist.from_codes(self.puzz_len + self.ans_len,
                                      np.concatenate(codes),
                                      np.concatenate(weights))

@@ -12,8 +12,10 @@ Simulation is dense only, with a hard cap of 12 qubits. One kernel takes a
 state (2^n,) or a stack (k, 2^n) alike: ``apply_step_unitary`` evolves,
 ``outcome_probs`` weighs the outcomes and ``project`` collapses. With it the
 branch tree is built one level per step, once per Circuit object (freed
-with it, its path count guarded by NCMO_MAX_BRANCHES); a node's readout law
-is built on first read. ``walk`` runs the kernel on a one-row stack for
+with it, its path count guarded by NCMO_MAX_BRANCHES). The tree keeps each
+level's arrays (``Level``: parent rows, transcript codes, probabilities,
+stacked states), which the exact folds read; a node's readout law is built
+on first read. ``walk`` runs the kernel on a one-row stack for
 single shots, and ``draw_readout`` makes one full-width read of a state.
 """
 
@@ -327,9 +329,32 @@ class BranchNode:
 
 
 @dataclass(frozen=True, eq=False)
+class Level:
+    """The step-t nodes of a branch tree as arrays, in tree order: each
+    node's parent row in level t - 1, transcript code tau_t (u_1 in the
+    high bits), probability (equal to ``node.prob``) and post state (row
+    i of ``states``, which ``nodes[i].state`` views)."""
+
+    parent: np.ndarray
+    taus: np.ndarray
+    probs: np.ndarray
+    states: np.ndarray
+    nodes: tuple[BranchNode, ...]
+
+    def reads(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every node's readout atoms in one pass, as ``readout_dist``
+        makes them: (rows, codes, weights), row-major, so each node's
+        atoms are contiguous and in ascending code order."""
+        born = np.abs(self.states) ** 2
+        rows, codes = np.nonzero(born > READOUT_PRUNE_TOL)
+        return rows, codes, born[rows, codes]
+
+
+@dataclass(frozen=True, eq=False)
 class BranchTree:
     circuit: Circuit
     root: BranchNode
+    levels: tuple[Level, ...]  # levels[t] holds the step-t nodes
 
     def nodes_at(self, t: int) -> list[BranchNode]:
         return self.level(t)[0]
@@ -337,13 +362,8 @@ class BranchTree:
     def level(self, t: int) -> tuple[list[BranchNode], np.ndarray]:
         """The step-t nodes in tree order, with their transcripts as codes
         (u_1 in the high bits)."""
-        nodes, codes = [self.root], [0]
-        for step in self.circuit.steps[:t]:
-            codes = [(code << step.measure) | int(child.outcomes[-1] or "0", 2)
-                     for node, code in zip(nodes, codes)
-                     for child in node.children]
-            nodes = [child for node in nodes for child in node.children]
-        return nodes, np.array(codes, dtype=np.int64)
+        level = self.levels[t]
+        return list(level.nodes), level.taus
 
     def leaves(self) -> list[BranchNode]:
         return self.nodes_at(self.circuit.depth)
@@ -375,9 +395,9 @@ def branch_count_bound(circuit: Circuit) -> int:
     return total
 
 
-# circuit -> root node; nodes hold no reference back to their circuit, so
-# an entry goes when its circuit does
-_ROOTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# circuit -> its tree's levels; nodes hold no reference back to their
+# circuit, so an entry goes when its circuit does
+_LEVELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def enumerate_branches(circuit: Circuit) -> BranchTree:
@@ -387,7 +407,7 @@ def enumerate_branches(circuit: Circuit) -> BranchTree:
     dropped; the surviving children of a node carry its full mass up to that
     pruning. The path-count guard (NCMO_MAX_BRANCHES) is checked on every
     call, before any state is allocated. The tree is built on the first
-    call for a circuit; later calls return the same nodes.
+    call for a circuit; later calls return the same nodes and levels.
     """
     guard = branch_guard()
     bound = branch_count_bound(circuit)
@@ -395,39 +415,50 @@ def enumerate_branches(circuit: Circuit) -> BranchTree:
         raise InstanceTooLargeError(
             f"branch enumeration would visit up to {bound} paths, over the "
             f"guard of {guard} (override with NCMO_MAX_BRANCHES)")
-    root = _ROOTS.get(circuit)
-    if root is None:
-        root = _ROOTS[circuit] = _build_tree(circuit)
-    return BranchTree(circuit=circuit, root=root)
+    levels = _LEVELS.get(circuit)
+    if levels is None:
+        levels = _LEVELS[circuit] = _build_tree(circuit)
+    return BranchTree(circuit=circuit, root=levels[0].nodes[0], levels=levels)
 
 
-def _build_tree(circuit: Circuit) -> BranchNode:
+def _build_tree(circuit: Circuit) -> tuple[Level, ...]:
     """One level per step: evolve the level's stack, project its (parent,
     outcome) pairs above BRANCH_PRUNE_TOL in row-major order, so children
     sit by parent in ascending outcome; then make nodes from the leaves up."""
-    n, levels = circuit.qubits, []
+    n = circuit.qubits
     root_state = initial_state(n)
-    states, probs, paths = root_state[None], np.ones(1), [()]
+    # per level: its parent rows, transcript codes, probabilities and states
+    top = arrays = (np.full(1, -1), np.zeros(1, dtype=np.int64), np.ones(1),
+                    root_state[None])
+    found, paths = [], [()]
     for step in circuit.steps:
+        _, taus, probs, states = arrays
         states = apply_step_unitary(states, step, n)
         m, k = step.measure, len(states)
-        rows = outs = np.arange(k)
         if m:
             cond = outcome_probs(states, m, n)
             rows, outs = np.nonzero(cond > BRANCH_PRUNE_TOL)
             states = project(states, m, rows, outs, cond)
             probs = probs[rows] * cond[rows, outs]
-        paths = [paths[r] + (format(o, f"0{m}b") if m else "",)
-                 for r, o in zip(rows.tolist(), outs.tolist())]
+            taus = (taus[rows] << m) | outs
+            paths = [paths[r] + (format(o, f"0{m}b"),)
+                     for r, o in zip(rows.tolist(), outs.tolist())]
+        else:
+            rows, paths = np.arange(k), [path + ("",) for path in paths]
         # the children of parent i are nodes ends[i]:ends[i + 1] of the level
         ends = np.searchsorted(rows, np.arange(k + 1)).tolist()
-        levels.append((ends, paths, probs.tolist(), states))
-    kids = [()] * len(paths)
-    for ends, paths, probs, states in reversed(levels):
-        nodes = [BranchNode(*f) for f in zip(paths, probs, states, kids)]
-        kids = [tuple(nodes[lo:hi]) for lo, hi in zip(ends, ends[1:])]
-    return BranchNode(outcomes=(), prob=1.0, state=root_state,
+        arrays = (rows, taus, probs, states)
+        found.append((ends, paths, arrays))
+    levels, kids = [], [()] * len(paths)
+    for ends, paths, arrays in reversed(found):
+        nodes = tuple(map(BranchNode, paths, arrays[2].tolist(), arrays[3],
+                          kids))
+        levels.append(Level(*arrays, nodes))
+        kids = [nodes[lo:hi] for lo, hi in zip(ends, ends[1:])]
+    root = BranchNode(outcomes=(), prob=1.0, state=root_state,
                       children=kids[0])
+    levels.append(Level(*top, (root,)))
+    return tuple(reversed(levels))
 
 
 def walk(circuit: Circuit, rng: np.random.Generator, t: int | None = None):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from ncmlab.dist import FiniteDist
+from ncmlab.errors import StructureError
 from ncmlab.ncmo import (
     FinalOutput,
     FnMachine,
@@ -34,6 +35,8 @@ from ncmlab.puzzles import (
     InstancePuzzleSampler,
     ObliviousAdversary,
     PerfectAdversary,
+    RejectionAdversary,
+    StepAdversary,
     StepPuzzleAdversary,
     advantage,
     encode_aux_input,
@@ -43,6 +46,9 @@ from ncmlab.puzzles import (
     step_pair_law,
 )
 from ncmlab.qsim import (
+    Circuit,
+    Gate,
+    Step,
     apply_step_unitary,
     draw_readout,
     enumerate_branches,
@@ -373,3 +379,104 @@ def test_per_step_terms_equal_the_replaced_loop():
             assert samp.per_step_terms(adv) == want
             report = advantage(samp, StepPuzzleAdversary(samp, adv))
             assert report.per_step == tuple(sorted(want.items()))
+
+
+# -- level laws -------------------------------------------------------------------
+
+def _rotation(theta):
+    return np.array([[math.cos(theta), -math.sin(theta)],
+                     [math.sin(theta), math.cos(theta)]])
+
+
+# step 1 prunes its outcome 1 (weight 1e-14, under BRANCH_PRUNE_TOL), step 2
+# leaves readout atoms of weight about 5e-17 (under READOUT_PRUNE_TOL), and
+# step 3 measures every qubit, so its guesses are 0 bits wide
+PRUNED = Circuit(qubits=2, steps=(
+    Step(gates=(Gate("u1q", (0,), matrix=_rotation(1e-7)), Gate("h", (1,))),
+         measure=1),
+    Step(gates=(Gate("u1q", (0,), matrix=_rotation(1e-8)),), measure=0),
+    Step(gates=(), measure=2),
+))
+
+LEVEL_ADVERSARIES = (PerfectAdversary(), RejectionAdversary(5),
+                     ObliviousAdversary(), ConstantAdversary("0"),
+                     ConstantAdversary("1"))
+
+
+class _LeaningAdversary(StepAdversary):
+    """A custom attacker that defines only ``law``: a guess leaning towards
+    high codes, by a power that depends on the transcript."""
+
+    def law(self, x, circuit, t, tau):
+        w = circuit.qubits - circuit.steps[t - 1].measure
+        power = 1 + int("".join(tau) or "0", 2) % 3
+        lean = np.arange(1.0, (1 << w) + 1) ** power
+        return FiniteDist.from_codes(w, np.arange(1 << w), lean / lean.sum())
+
+
+class _WideAdversary(StepAdversary):
+    """A custom attacker whose guesses are one bit wider than w_t."""
+
+    def law(self, x, circuit, t, tau):
+        return FiniteDist.uniform(
+            circuit.qubits - circuit.steps[t - 1].measure + 1)
+
+
+def test_the_pruned_circuit_prunes():
+    levels = enumerate_branches(PRUNED).levels
+    assert len(levels[1].nodes) == 1
+    assert len(levels[2].reads()[0]) == 2
+    assert [len(level.nodes) for level in levels] == [1, 1, 1, 2]
+
+
+@pytest.mark.parametrize("adv", LEVEL_ADVERSARIES,
+                         ids=lambda adv: getattr(adv, "bit", adv.kind))
+def test_built_in_level_laws_concatenate_their_node_laws(adv):
+    for c in CIRCUITS + [PRUNED]:
+        levels = enumerate_branches(c).levels
+        for t in range(1, c.depth + 1):
+            laws = [adv.law("0", c, t, node.outcomes)
+                    for node in levels[t].nodes]
+            rows, codes, weights = adv.level_law("0", c, t)
+            assert rows.tolist() == [j for j, law in enumerate(laws)
+                                     for _ in range(len(law))]
+            assert codes.tolist() == [code for law in laws
+                                      for code in law.codes.tolist()]
+            assert weights.tolist() == [p for law in laws
+                                        for p in law.weights.tolist()]
+
+
+def test_pruned_circuit_laws_equal_the_replaced_loops():
+    c = PRUNED
+    _same_law(oracle_exact(c), _ref_oracle_exact(c))
+    for adv in LEVEL_ADVERSARIES + (_LeaningAdversary(),):
+        for k in range(c.depth + 1):
+            _same_law(hybrid_b_law(k, "0", c, adv),
+                      _ref_hybrid_b_law(k, "0", c, adv))
+        for t in range(1, c.depth + 1):
+            _same_law(step_pair_law("0", c, t, adv),
+                      _ref_step_pair_law("0", c, t, adv))
+
+
+@pytest.mark.parametrize("i", range(len(CIRCUITS)))
+def test_a_custom_adversary_folds_through_its_law(i):
+    c, adv = CIRCUITS[i], _LeaningAdversary()
+    for k in range(c.depth + 1):
+        _same_law(hybrid_b_law(k, "0", c, adv),
+                  _ref_hybrid_b_law(k, "0", c, adv))
+    for t in range(1, c.depth + 1):
+        _same_law(step_pair_law("0", c, t, adv),
+                  _ref_step_pair_law("0", c, t, adv))
+
+
+def test_a_custom_guess_of_the_wrong_width_raises():
+    adv = _WideAdversary()
+    for c in CIRCUITS:
+        for t in range(1, c.depth + 1):
+            w = c.qubits - c.steps[t - 1].measure
+            wrong = f"step {t} guess law is {w + 1} bits wide"
+            # B(t - 1) guesses from step t on
+            with pytest.raises(StructureError, match=wrong):
+                hybrid_b_law(t - 1, "0", c, adv)
+            with pytest.raises(StructureError, match=wrong):
+                step_pair_law("0", c, t, adv)
