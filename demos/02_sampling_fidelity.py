@@ -32,8 +32,7 @@ while len(kept) < 5:
 
 for i, circuit in enumerate(kept):
     exact = oracle_exact(circuit)
-    tree = enumerate_branches(circuit)
-    mass = sum(leaf.prob for leaf in tree.leaves())
+    mass = sum(enumerate_branches(circuit).levels[-1].probs.tolist())
 
     codes = oracle_read_codes(circuit, SHOTS, rng)
     hist = empirical_codes(codes, circuit.qubits).to_dist()

@@ -106,8 +106,8 @@ def criterion_1(seed: int = BASE_SEED) -> list[Check]:
         if len(exact) > 16:
             continue
         kept += 1
-        tree = enumerate_branches(circuit)
-        norm = abs(sum(leaf.prob for leaf in tree.leaves()) - 1.0)
+        leaves = enumerate_branches(circuit).levels[-1]
+        norm = abs(sum(leaves.probs.tolist()) - 1.0)
         worst_norm = max(worst_norm, norm)
         codes = oracle_read_codes(circuit, 100_000, rng)
         emp = empirical_codes(codes, circuit.qubits).to_dist()

@@ -196,8 +196,8 @@ def _cmd_run_oracle(args) -> dict:
     checks: list[Check] = []
     payload: dict = {"qubits": circuit.qubits, "steps": circuit.depth}
     if args.mode == "exact":
-        leaves = enumerate_branches(circuit).leaves()
-        mass = abs(sum(leaf.prob for leaf in leaves) - 1.0)
+        leaves = enumerate_branches(circuit).levels[-1]
+        mass = abs(sum(leaves.probs.tolist()) - 1.0)
         law = oracle_exact(circuit)
         checks.append(_chk("oracle/branch-mass-deficit", mass, EXACT_TOL))
         payload["law"] = law.to_json()

@@ -31,9 +31,9 @@ level's nodes and extends every parent's codes in one gather per level:
 ``oracle_exact`` and ``puzzles.hybrid_b_law`` use it. ``q_t_law``,
 ``puzzles.step_pair_law`` and ``puzzles.InstancePuzzleSampler.joint_law``
 join each step-t node's tau_t to a ragged suffix law over the level in one
-pass; the Born weights come from the level's stacked states
-(``Level.reads``), the guesses from ``StepAdversary.level_law``, which for a
-custom adversary calls its per-node ``law``.
+pass; the Born weights come from the level's blocks (``Level.reads``),
+the guesses from ``StepAdversary.level_law``, which for a custom adversary
+calls its per-node ``law``.
 
 Machines: a BaseMachine is a deterministic map from (instance, accuracy,
 answers so far) to either the next query or a final output. Sessions against
@@ -48,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dist import FiniteDist, check_bits, marginal, product, ragged_blocks
+from .dist import FiniteDist, check_bits, product, ragged_blocks
 from .errors import (
     InstanceTooLargeError,
     ProtocolError,
@@ -68,6 +68,7 @@ from .qsim import (
     project,
     run_prefix,
     walk,
+    widen,
 )
 
 MAX_EXACT_OUTPUT_BITS = 20
@@ -102,8 +103,8 @@ def oracle_sample(circuit: Circuit, rng: np.random.Generator) -> OracleOutput:
 
 
 def _readout_cdfs(states: np.ndarray) -> np.ndarray:
-    """Per stacked state, the cdf ``Generator.choice`` builds from its Born
-    atoms above READOUT_PRUNE_TOL, spread over the full 2^n width.
+    """Per stacked state or block, the cdf ``Generator.choice`` builds from
+    its Born atoms above READOUT_PRUNE_TOL, spread over the row's width.
 
     As in ``choice(len(w), p=w / w.sum())``: w is summed as a 1-D array,
     p = w / sum, cdf = p.cumsum(), cdf /= cdf[-1]. A pruned entry is 0,
@@ -137,7 +138,8 @@ def oracle_read_codes(circuit: Circuit, shots: int,
     Returns an int64 array of shape (shots, T) whose row i holds shot i's T
     full-width readouts as basis indices (qubit 0 is the high bit). Each
     step evolves every shot group as one stack and splits it at the
-    collapse into children, one per outcome drawn. Draw order, group by
+    collapse into children, one per outcome drawn; a child is read inside
+    its block and widened only to evolve further. Draw order, group by
     group: one ``multinomial`` for the split (none when the step measures
     nothing), then one ``rng.random(size)`` for all of the group's reads,
     each child's share inverted through that child's readout cdf the way
@@ -151,11 +153,12 @@ def oracle_read_codes(circuit: Circuit, shots: int,
     reads = np.empty((shots, circuit.depth), dtype=np.int64)
     if shots == 0:
         return reads
-    # group g: the state states[g] and the next sizes[g] rows of reads
-    states, sizes = initial_state(n)[None], [shots]
+    # group g: the block blocks[g] inside outcomes[g] of the last step's m
+    # qubits, and the next sizes[g] rows of reads
+    blocks, sizes, m, outcomes = initial_state(n)[None], [shots], 0, []
     for t, step in enumerate(circuit.steps):
+        evolved = apply_step_unitary(widen(blocks, m, outcomes), step, n)
         m = step.measure
-        evolved = apply_step_unitary(states, step, n)
         cond = outcome_probs(evolved, m, n)
         parents, outcomes, counts, uniforms = [], [], [], []
         for g, size in enumerate(sizes):
@@ -169,17 +172,19 @@ def oracle_read_codes(circuit: Circuit, shots: int,
             else:
                 counts.append(size)
             uniforms.append(rng.random(size))
-        states = project(evolved, m, parents, outcomes, cond) if m else evolved
-        cdf, u = _readout_cdfs(states), np.concatenate(uniforms)
+        blocks = project(evolved, m, parents, outcomes, cond) if m else evolved
+        cdf, u = _readout_cdfs(blocks), np.concatenate(uniforms)
         ends = np.cumsum(counts).tolist()
         for row, lo, hi in zip(cdf, [0] + ends, ends):
             reads[lo:hi, t] = row.searchsorted(u[lo:hi], side="right")
         sizes = counts
-        # every readout must extend its branch's collapsing outcome
-        if m and not np.array_equal(reads[:, t] >> (n - m),
-                                    np.repeat(outcomes, sizes)):
-            raise RuntimeError(
-                f"a step-{t + 1} readout disagrees with its branch")
+        if m:
+            # every readout extends its branch's collapsing outcome: a read
+            # inside its block leaves the outcome's high bits to u_t
+            if np.any(reads[:, t] >> (n - m)):
+                raise RuntimeError(
+                    f"a step-{t + 1} readout disagrees with its branch")
+            reads[:, t] |= np.repeat(outcomes, sizes) << (n - m)
     return reads
 
 
@@ -287,9 +292,7 @@ def q_t_law(circuit: Circuit, t: int,
             tree: BranchTree | None = None) -> FiniteDist:
     """Exact law of tau_t || w_t, transcripts flattened."""
     _check_step_index(circuit, t)
-    rows, codes, born = enumerate_branches(circuit).levels[t].reads()
-    w = circuit.qubits - circuit.steps[t - 1].measure
-    return _tau_law(circuit, t, rows, codes & ((1 << w) - 1), born)
+    return _tau_law(circuit, t, *enumerate_branches(circuit).levels[t].atoms())
 
 
 def _validate_transcript(circuit: Circuit, tau: Transcript):
@@ -323,8 +326,7 @@ def q2_law(circuit: Circuit, tau: Transcript,
     """Exact law of w_1..w_t given tau: independent readouts along the path."""
     _validate_transcript(circuit, tau)
     nodes = enumerate_branches(circuit).path(tuple(tau))
-    return product([marginal(node.readout, range(step.measure, circuit.qubits))
-                    for node, step in zip(nodes, circuit.steps)])
+    return product([node.suffix_law for node in nodes])
 
 
 def _rejection_run(circuit: Circuit, tau: Transcript,

@@ -89,9 +89,10 @@ class StepAdversary:
     def level_law(self, x: str, circuit: Circuit, t: int) -> tuple:
         """``law`` at each step-t node, each checked to be n - m_t bits
         wide: a wider suffix would overwrite u_t's bits in the folds."""
-        nodes = enumerate_branches(circuit).levels[t].nodes
+        level = enumerate_branches(circuit).levels[t]
         w = _suffix_width(circuit, t)
-        laws = [self.law(x, circuit, t, node.outcomes) for node in nodes]
+        laws = [self.law(x, circuit, t, level.transcript(row))
+                for row in range(len(level.taus))]
         for law in laws:
             if law.length != w:
                 raise StructureError(
@@ -111,7 +112,7 @@ def _suffix_width(circuit: Circuit, t: int) -> int:
 
 
 def _level_size(circuit: Circuit, t: int) -> int:
-    return len(enumerate_branches(circuit).levels[t].nodes)
+    return len(enumerate_branches(circuit).levels[t].taus)
 
 
 class PerfectAdversary(StepAdversary):
@@ -120,15 +121,11 @@ class PerfectAdversary(StepAdversary):
     kind = "perfect"
 
     def law(self, x, circuit, t, tau):
-        node = enumerate_branches(circuit).node(tuple(tau))
-        return marginal(node.readout,
-                        range(circuit.steps[t - 1].measure, circuit.qubits))
+        return enumerate_branches(circuit).node(tuple(tau)).suffix_law
 
     def level_law(self, x, circuit, t):
-        # a post state's atoms all begin with its u_t, so its suffixes are
-        # its readout codes with the prefix masked off
-        rows, codes, born = enumerate_branches(circuit).levels[t].reads()
-        return rows, codes & ((1 << _suffix_width(circuit, t)) - 1), born
+        # a post state's suffixes are its block's columns
+        return enumerate_branches(circuit).levels[t].atoms()
 
 
 class RejectionAdversary(StepAdversary):
@@ -230,16 +227,12 @@ def hybrid_b_law(k: int, x: str, circuit: Circuit,
         raise StructureError(f"hybrid index {k} outside 0..{circuit.depth}")
     _guard_output_bits(circuit, "hybrid_b_law")
 
-    n = circuit.qubits
-
     def read_law(i, level):
         if i <= k:
             return level.reads()
         # a guess is read as u_i || the guessed suffix
         rows, suffixes, weights = adv.level_law(x, circuit, i)
-        m = circuit.steps[i - 1].measure
-        u = level.taus[rows] & ((1 << m) - 1)
-        return rows, (u << (n - m)) | suffixes, weights
+        return rows, level.codes(rows, suffixes), weights
 
     return path_fold(circuit, read_law)
 
@@ -415,13 +408,12 @@ class InstancePuzzleSampler(PuzzleSampler):
             c = self._circuits[x]
             for t in range(1, c.depth + 1):
                 level = enumerate_branches(c).levels[t]
-                rows, reads, born = level.reads()
+                rows, suffixes, born = level.atoms()
                 w = _suffix_width(c, t)
                 # puzz = (x, t) header | tau zero-padded; ans = w zero-padded
                 head = int(self.encode_puzz(x, t, ()), 2)
                 puzz = head | (level.taus << (self.layout.tau_width
                                               - sum(c.measure_widths()[:t])))
-                suffixes = reads & ((1 << w) - 1)
                 codes.append((puzz[rows] << self.ans_len)
                              | (suffixes << (self.ans_len - w)))
                 weights.append((px * level.probs / c.depth)[rows] * born)

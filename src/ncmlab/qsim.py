@@ -1,28 +1,34 @@
 """Dense statevector simulation of stepwise-measured circuits.
 
-A circuit on n qubits is a sequence of steps; each step applies a unitary
-(given as a gate list or a dense matrix) and then measures the first
-``measure`` qubits in the computational basis. Measuring any other subset is
-expressed by SWAP gates inside the step's unitary. Bit order convention:
-qubit 0 is the most significant bit of a basis index, so basis state i
-corresponds to the string format(i, '0nb') and "the first m qubits" are the
-leading m characters.
+A circuit on n qubits is a sequence of steps; each step applies a unitary,
+given as a list of gates, and then measures the first ``measure`` qubits in
+the computational basis. Measuring any other subset is expressed by SWAP
+gates inside the step's unitary. Bit order convention: qubit 0 is the most
+significant bit of a basis index, so basis state i corresponds to the
+string format(i, '0nb') and "the first m qubits" are the leading m
+characters.
 
 Simulation is dense only, with a hard cap of 12 qubits. One kernel takes a
 state (2^n,) or a stack (k, 2^n) alike: ``apply_step_unitary`` evolves,
-``outcome_probs`` weighs the outcomes and ``project`` collapses. With it the
-branch tree is built one level per step, once per Circuit object (freed
-with it, its path count guarded by NCMO_MAX_BRANCHES). The tree keeps each
-level's arrays (``Level``: parent rows, transcript codes, probabilities,
-stacked states), which the exact folds read; a node's readout law is built
-on first read. ``walk`` runs the kernel on a one-row stack for
-single shots, and ``draw_readout`` makes one full-width read of a state.
+``outcome_probs`` weighs the outcomes and ``project`` collapses, keeping of
+each post state only its block, the 2^(n - m) amplitudes inside its
+outcome; ``widen`` puts blocks back into full-width rows for the next
+step. With it the branch tree is built one level per step, once per
+Circuit object and freed with it. The tree is nothing but its levels
+(``Level``: parent rows, transcript codes, probabilities, blocks), which
+the exact folds read; ``BranchNode`` is a view of one level row, made on
+demand, whose state is widened and whose readout law is built when read.
+Before a build, NCMO_MAX_BRANCHES caps the paths and MAX_TREE_BYTES the
+bytes of states (``tree_byte_bound``). ``walk`` runs the kernel on a
+one-row stack for single shots, and ``draw_readout`` makes one full-width
+read of a state.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import json
 import math
 import os
@@ -44,6 +50,8 @@ UNITARY_TOL = 1e-7
 BRANCH_PRUNE_TOL = 1e-12
 READOUT_PRUNE_TOL = 1e-14
 DEFAULT_BRANCH_GUARD = 1 << 16
+# cap on tree_byte_bound: the bytes of states one branch tree may hold
+MAX_TREE_BYTES = 1 << 30
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 _X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -281,13 +289,21 @@ def project(states: np.ndarray, m: int, rows, outcomes,
             cond: np.ndarray) -> np.ndarray:
     """Post-measurement states of the stack's (row, outcome) pairs, given
     the stack's outcome weights ``cond`` (positive at every pair): one
-    normalised state per pair."""
+    normalised block per pair, the 2^(n - m) amplitudes inside its
+    outcome, which ``widen`` puts back in a full-width row."""
     p = cond[rows, outcomes]
-    blocks = states.reshape(len(states), 1 << m, -1)
-    post = np.zeros((len(rows),) + blocks.shape[1:], dtype=complex)
-    post[np.arange(len(rows)), outcomes] = (blocks[rows, outcomes]
-                                            / np.sqrt(p)[:, None])
-    return post.reshape(len(rows), -1)
+    return (states.reshape(len(states), 1 << m, -1)[rows, outcomes]
+            / np.sqrt(p)[:, None])
+
+
+def widen(blocks: np.ndarray, m: int, outcomes) -> np.ndarray:
+    """Full-width rows of a stack of blocks: block i where the first m
+    qubits read ``outcomes[i]``, zeros elsewhere."""
+    if not m:
+        return blocks
+    full = np.zeros((len(blocks), 1 << m, blocks.shape[1]), dtype=complex)
+    full[np.arange(len(blocks)), outcomes] = blocks
+    return full.reshape(len(blocks), -1)
 
 
 def readout_dist(amps: np.ndarray, n: int) -> FiniteDist:
@@ -309,45 +325,108 @@ def draw_readout(amps: np.ndarray, n: int, rng: np.random.Generator) -> str:
 
 # -- branch enumeration -------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class BranchNode:
-    """One collapsing-outcome path: tau = outcomes, with its post state."""
+    """One collapsing-outcome path tau = outcomes: a view of row ``row`` of
+    a tree level, made on demand. Its post state is widened from the
+    level's block when read, and its readout law is built on first read."""
 
-    outcomes: tuple[str, ...]
-    prob: float
-    state: np.ndarray
-    children: tuple["BranchNode", ...] = ()
+    def __init__(self, level: Level, row: int):
+        self.level, self.row = level, row
 
     @property
     def depth(self) -> int:
-        return len(self.outcomes)
+        return len(self.level.widths)
+
+    @property
+    def outcomes(self) -> tuple[str, ...]:
+        return self.level.transcript(self.row)
+
+    @property
+    def prob(self) -> float:
+        return self.level.probs.item(self.row)
+
+    @property
+    def state(self) -> np.ndarray:
+        level, rows = self.level, slice(self.row, self.row + 1)
+        return widen(level.blocks[rows], level.measure,
+                     level.taus[rows] & ((1 << level.measure) - 1))[0]
+
+    @property
+    def children(self) -> tuple[BranchNode, ...]:
+        below = self.level.below
+        if below is None:
+            return ()
+        lo, hi = np.searchsorted(below.parent, [self.row, self.row + 1])
+        return tuple(BranchNode(below, r) for r in range(lo, hi))
+
+    @property
+    def suffix_law(self) -> FiniteDist:
+        """Law of the read's unmeasured suffix w_d: the block's atoms."""
+        level = self.level
+        _, cols, born = level.atoms(slice(self.row, self.row + 1))
+        return FiniteDist.from_codes(
+            level.blocks.shape[1].bit_length() - 1, cols, born)
 
     @functools.cached_property
     def readout(self) -> FiniteDist:
         """Full-width readout law of the post state, built on first read."""
-        return readout_dist(self.state, self.state.size.bit_length() - 1)
+        state = self.state
+        return readout_dist(state, state.size.bit_length() - 1)
 
 
 @dataclass(frozen=True, eq=False)
 class Level:
-    """The step-t nodes of a branch tree as arrays, in tree order: each
-    node's parent row in level t - 1, transcript code tau_t (u_1 in the
-    high bits), probability (equal to ``node.prob``) and post state (row
-    i of ``states``, which ``nodes[i].state`` views)."""
+    """The step-d nodes of a branch tree as arrays, in tree order: each
+    node's parent row in level d - 1, transcript code tau_d (u_1 in the
+    high bits, ascending down the level), probability, and post state as
+    its block: the 2^(n - m_d) amplitudes inside its outcome u_d (row i of
+    ``blocks``). ``widths`` are m_1..m_d; ``below`` is level d + 1."""
 
     parent: np.ndarray
     taus: np.ndarray
     probs: np.ndarray
-    states: np.ndarray
-    nodes: tuple[BranchNode, ...]
+    blocks: np.ndarray
+    widths: tuple[int, ...]
+    below: Level | None
+
+    @property
+    def measure(self) -> int:
+        return self.widths[-1] if self.widths else 0
+
+    @property
+    def nodes(self) -> tuple[BranchNode, ...]:
+        k = len(self.taus)
+        return tuple(map(BranchNode, itertools.repeat(self, k), range(k)))
+
+    def transcript(self, row: int) -> tuple[str, ...]:
+        """Node ``row``'s outcomes u_1..u_d as bit strings."""
+        tau, out = self.taus.item(row), []
+        for m in reversed(self.widths):
+            out.append(format(tau & ((1 << m) - 1), f"0{m}b") if m else "")
+            tau >>= m
+        return tuple(reversed(out))
+
+    def atoms(self, rows=slice(None)) -> tuple[np.ndarray, ...]:
+        """The Born atoms above READOUT_PRUNE_TOL of the blocks ``rows``
+        (all by default): (rows, columns, weights), row-major. A block's
+        column is its read's suffix, the last n - m_d bits."""
+        born = np.abs(self.blocks[rows]) ** 2
+        at, cols = np.nonzero(born > READOUT_PRUNE_TOL)
+        return at, cols, born[at, cols]
+
+    def codes(self, rows: np.ndarray, suffixes: np.ndarray) -> np.ndarray:
+        """Full-width reads of suffixes at nodes ``rows``: u_d || suffix."""
+        shift = self.blocks.shape[1].bit_length() - 1
+        u = self.taus[rows] & ((1 << self.measure) - 1)
+        return (u << shift) | suffixes
 
     def reads(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every node's readout atoms in one pass, as ``readout_dist``
-        makes them: (rows, codes, weights), row-major, so each node's
-        atoms are contiguous and in ascending code order."""
-        born = np.abs(self.states) ** 2
-        rows, codes = np.nonzero(born > READOUT_PRUNE_TOL)
-        return rows, codes, born[rows, codes]
+        makes them from the widened state: (rows, codes, weights),
+        row-major, so each node's atoms are contiguous and in ascending
+        code order."""
+        rows, cols, born = self.atoms()
+        return rows, self.codes(rows, cols), born
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,13 +436,12 @@ class BranchTree:
     levels: tuple[Level, ...]  # levels[t] holds the step-t nodes
 
     def nodes_at(self, t: int) -> list[BranchNode]:
-        return self.level(t)[0]
+        return list(self.levels[t].nodes)
 
     def level(self, t: int) -> tuple[list[BranchNode], np.ndarray]:
         """The step-t nodes in tree order, with their transcripts as codes
         (u_1 in the high bits)."""
-        level = self.levels[t]
-        return list(level.nodes), level.taus
+        return self.nodes_at(t), self.levels[t].taus
 
     def leaves(self) -> list[BranchNode]:
         return self.nodes_at(self.circuit.depth)
@@ -372,19 +450,22 @@ class BranchTree:
         return self.path(tau)[-1] if tau else self.root
 
     def path(self, tau: tuple[str, ...]) -> list[BranchNode]:
-        """Nodes at depths 1..len(tau) along the given transcript."""
-        nodes = []
-        cur = self.root
+        """Nodes at depths 1..len(tau) along the given transcript, each
+        found by its code in its level's ascending ``taus``."""
+        nodes, code = [], 0
         for t, u in enumerate(tau, start=1):
-            for child in cur.children:
-                if child.outcomes[-1] == u:
-                    cur = child
-                    break
-            else:
+            level = self.levels[t] if t < len(self.levels) else None
+            found = (level is not None and isinstance(u, str)
+                     and len(u) == level.measure and not u.strip("01"))
+            if found:
+                code = (code << level.measure) | int(u or "0", 2)
+                row = int(level.taus.searchsorted(code))
+                found = row < len(level.taus) and level.taus[row] == code
+            if not found:
                 raise ImpossibleConditionError(
                     f"transcript {tau} leaves the branch tree at step {t} "
                     f"(outcome {u!r})")
-            nodes.append(cur)
+            nodes.append(BranchNode(level, row))
         return nodes
 
 
@@ -395,9 +476,22 @@ def branch_count_bound(circuit: Circuit) -> int:
     return total
 
 
-# circuit -> its tree's levels; nodes hold no reference back to their
-# circuit, so an entry goes when its circuit does
-_LEVELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+def tree_byte_bound(circuit: Circuit) -> int:
+    """Bytes of amplitudes a tree build may hold, from the step widths
+    alone: the largest widened level (every step-(d - 1) path at full
+    width) plus every level's blocks (each step-d path at 2^(n - m_d))."""
+    n = circuit.qubits
+    paths, widest, stored = 1, 0, 1 << n
+    for m in circuit.measure_widths():
+        widest = max(widest, paths << n)
+        paths <<= m
+        stored += paths << (n - m)
+    return 16 * (widest + stored)
+
+
+# circuit -> its tree's levels and root view; levels hold no reference back
+# to their circuit, so an entry goes when its circuit does
+_TREES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def enumerate_branches(circuit: Circuit) -> BranchTree:
@@ -405,9 +499,10 @@ def enumerate_branches(circuit: Circuit) -> BranchTree:
 
     Branches whose conditional probability falls below BRANCH_PRUNE_TOL are
     dropped; the surviving children of a node carry its full mass up to that
-    pruning. The path-count guard (NCMO_MAX_BRANCHES) is checked on every
+    pruning. The path-count guard (NCMO_MAX_BRANCHES) and the byte cap
+    (MAX_TREE_BYTES, against ``tree_byte_bound``) are checked on every
     call, before any state is allocated. The tree is built on the first
-    call for a circuit; later calls return the same nodes and levels.
+    call for a circuit; later calls return the same levels and root.
     """
     guard = branch_guard()
     bound = branch_count_bound(circuit)
@@ -415,49 +510,43 @@ def enumerate_branches(circuit: Circuit) -> BranchTree:
         raise InstanceTooLargeError(
             f"branch enumeration would visit up to {bound} paths, over the "
             f"guard of {guard} (override with NCMO_MAX_BRANCHES)")
-    levels = _LEVELS.get(circuit)
-    if levels is None:
-        levels = _LEVELS[circuit] = _build_tree(circuit)
-    return BranchTree(circuit=circuit, root=levels[0].nodes[0], levels=levels)
+    size = tree_byte_bound(circuit)
+    if size > MAX_TREE_BYTES:
+        raise InstanceTooLargeError(
+            f"branch enumeration would hold up to {size} bytes of states, "
+            f"over the cap of {MAX_TREE_BYTES}")
+    cached = _TREES.get(circuit)
+    if cached is None:
+        levels = _build_tree(circuit)
+        cached = _TREES[circuit] = (levels, BranchNode(levels[0], 0))
+    return BranchTree(circuit=circuit, root=cached[1], levels=cached[0])
 
 
 def _build_tree(circuit: Circuit) -> tuple[Level, ...]:
-    """One level per step: evolve the level's stack, project its (parent,
-    outcome) pairs above BRANCH_PRUNE_TOL in row-major order, so children
-    sit by parent in ascending outcome; then make nodes from the leaves up."""
-    n = circuit.qubits
-    root_state = initial_state(n)
-    # per level: its parent rows, transcript codes, probabilities and states
-    top = arrays = (np.full(1, -1), np.zeros(1, dtype=np.int64), np.ones(1),
-                    root_state[None])
-    found, paths = [], [()]
+    """One level per step: widen the parents' blocks to full rows, evolve
+    them, and keep the blocks of the (parent, outcome) pairs above
+    BRANCH_PRUNE_TOL in row-major order, so children sit by parent in
+    ascending outcome."""
+    n, m, outs = circuit.qubits, 0, None
+    # per level: its parent rows, transcript codes, probabilities, blocks
+    found = [(np.full(1, -1), np.zeros(1, dtype=np.int64), np.ones(1),
+              initial_state(n)[None])]
     for step in circuit.steps:
-        _, taus, probs, states = arrays
-        states = apply_step_unitary(states, step, n)
-        m, k = step.measure, len(states)
+        _, taus, probs, blocks = found[-1]
+        states = apply_step_unitary(widen(blocks, m, outs), step, n)
+        m = step.measure
         if m:
             cond = outcome_probs(states, m, n)
             rows, outs = np.nonzero(cond > BRANCH_PRUNE_TOL)
-            states = project(states, m, rows, outs, cond)
-            probs = probs[rows] * cond[rows, outs]
-            taus = (taus[rows] << m) | outs
-            paths = [paths[r] + (format(o, f"0{m}b"),)
-                     for r, o in zip(rows.tolist(), outs.tolist())]
+            found.append((rows, (taus[rows] << m) | outs,
+                          probs[rows] * cond[rows, outs],
+                          project(states, m, rows, outs, cond)))
         else:
-            rows, paths = np.arange(k), [path + ("",) for path in paths]
-        # the children of parent i are nodes ends[i]:ends[i + 1] of the level
-        ends = np.searchsorted(rows, np.arange(k + 1)).tolist()
-        arrays = (rows, taus, probs, states)
-        found.append((ends, paths, arrays))
-    levels, kids = [], [()] * len(paths)
-    for ends, paths, arrays in reversed(found):
-        nodes = tuple(map(BranchNode, paths, arrays[2].tolist(), arrays[3],
-                          kids))
-        levels.append(Level(*arrays, nodes))
-        kids = [nodes[lo:hi] for lo, hi in zip(ends, ends[1:])]
-    root = BranchNode(outcomes=(), prob=1.0, state=root_state,
-                      children=kids[0])
-    levels.append(Level(*top, (root,)))
+            found.append((np.arange(len(states)), taus, probs, states))
+    widths, levels, below = circuit.measure_widths(), [], None
+    for d in reversed(range(len(found))):
+        below = Level(*found[d], widths[:d], below)
+        levels.append(below)
     return tuple(reversed(levels))
 
 
@@ -473,7 +562,7 @@ def walk(circuit: Circuit, rng: np.random.Generator, t: int | None = None):
             cond = outcome_probs(states, m, n)
             probs = np.clip(cond[0], 0.0, None)
             idx = int(rng.choice(1 << m, p=probs / probs.sum()))
-            states = project(states, m, [0], [idx], cond)
+            states = widen(project(states, m, [0], [idx], cond), m, [idx])
             u = format(idx, f"0{m}b")
         yield u, states[0]
 
