@@ -19,8 +19,15 @@ order, per shot group and step: one ``multinomial`` for the collapse, then
 one ``rng.random(size)`` for all of the group's reads, each child's share
 inverted through that child's readout cdf the way ``Generator.choice`` does
 it; that is the stream of one ``choice`` call per child, so seeded reads are
-unchanged. ``q_t``, ``q1`` and ``q2`` expose the partial views used by the
-puzzle constructions.
+unchanged. When the circuit's branch tree is already built
+(``qsim.cached_levels``), the shot groups walk it: each split draws from
+the level's ``cond`` row and each child's block is the level's, so no state
+is evolved again. Without a built tree (sample-only callers, circuits over
+a guard), or from the step where a drawn outcome has no node because the
+tree pruned it, the groups evolve their parents' blocks with the ``qsim``
+kernel instead; the values, and so the draws, are the same either way.
+``q_t``, ``q1`` and ``q2`` expose the partial views used by the puzzle
+constructions.
 
 Exact laws over the branch tree are built on integer codes (see ``dist``),
 with transcripts and reads joined by shifts, and folded on the tree's level
@@ -61,6 +68,7 @@ from .qsim import (
     Circuit,
     Level,
     apply_step_unitary,
+    cached_levels,
     draw_readout,
     enumerate_branches,
     initial_state,
@@ -137,15 +145,21 @@ def oracle_read_codes(circuit: Circuit, shots: int,
 
     Returns an int64 array of shape (shots, T) whose row i holds shot i's T
     full-width readouts as basis indices (qubit 0 is the high bit). Each
-    step evolves every shot group as one stack and splits it at the
-    collapse into children, one per outcome drawn; a child is read inside
-    its block and widened only to evolve further. Draw order, group by
-    group: one ``multinomial`` for the split (none when the step measures
-    nothing), then one ``rng.random(size)`` for all of the group's reads,
-    each child's share inverted through that child's readout cdf the way
-    ``Generator.choice`` does it. That is the stream of one ``choice`` call
-    per child, so seeded reads are unchanged. The per-shot law is
-    identical to ``oracle_sample``; only the bookkeeping is batched.
+    step splits every shot group at the collapse into children, one per
+    outcome drawn, and reads each child inside its block. While the groups
+    sit on the circuit's built tree, a split draws from the parent's
+    ``Level.cond`` row and a child's block is its node's, found by its
+    transcript code in the level's ascending ``taus``. With no tree built,
+    and from the step where a drawn outcome has no node (the tree pruned
+    it), the parents' blocks are widened and evolved as one stack instead.
+    Draw order, group by group: one ``multinomial`` for the split (none
+    when the step measures nothing), then one ``rng.random(size)`` for all
+    of the group's reads, each child's share inverted through that child's
+    readout cdf the way ``Generator.choice`` does it. That is the stream of
+    one ``choice`` call per child, so seeded reads are unchanged, and a
+    tree's blocks and weights equal the evolved ones bit for bit. The
+    per-shot law is identical to ``oracle_sample``; only the bookkeeping is
+    batched.
     """
     if shots < 0:
         raise StructureError(f"shots must be nonnegative, got {shots}")
@@ -153,13 +167,21 @@ def oracle_read_codes(circuit: Circuit, shots: int,
     reads = np.empty((shots, circuit.depth), dtype=np.int64)
     if shots == 0:
         return reads
+    levels = cached_levels(circuit)
     # group g: the block blocks[g] inside outcomes[g] of the last step's m
-    # qubits, and the next sizes[g] rows of reads
+    # qubits, the next sizes[g] rows of reads and, while on the tree, the
+    # node rows[g] of the last level
     blocks, sizes, m, outcomes = initial_state(n)[None], [shots], 0, []
+    rows = None if levels is None else np.zeros(1, dtype=np.int64)
     for t, step in enumerate(circuit.steps):
-        evolved = apply_step_unitary(widen(blocks, m, outcomes), step, n)
+        parent_blocks = blocks, m, outcomes
         m = step.measure
-        cond = outcome_probs(evolved, m, n)
+        if rows is None:
+            evolved = apply_step_unitary(widen(*parent_blocks), step, n)
+            cond = outcome_probs(evolved, m, n) if m else None
+        else:
+            level = levels[t + 1]
+            cond = level.cond[rows] if m else None
         parents, outcomes, counts, uniforms = [], [], [], []
         for g, size in enumerate(sizes):
             if m:
@@ -172,7 +194,20 @@ def oracle_read_codes(circuit: Circuit, shots: int,
             else:
                 counts.append(size)
             uniforms.append(rng.random(size))
-        blocks = project(evolved, m, parents, outcomes, cond) if m else evolved
+        if rows is not None and m:
+            codes = (levels[t].taus[rows[parents]] << m) | outcomes
+            rows = level.taus.searchsorted(codes)
+            if np.any(level.taus[np.minimum(rows, len(level.taus) - 1)]
+                      != codes):
+                # a drawn outcome the tree pruned: evolve from here on
+                rows = None
+                evolved = apply_step_unitary(widen(*parent_blocks), step, n)
+                cond = outcome_probs(evolved, m, n)
+        if rows is not None:
+            blocks = level.blocks[rows]
+        else:
+            blocks = (project(evolved, m, parents, outcomes, cond) if m
+                      else evolved)
         cdf, u = _readout_cdfs(blocks), np.concatenate(uniforms)
         ends = np.cumsum(counts).tolist()
         for row, lo, hi in zip(cdf, [0] + ends, ends):
@@ -196,8 +231,8 @@ def oracle_sample_many(circuit: Circuit, shots: int,
     fmt = f"0{circuit.qubits}b"
     name = {v: format(v, fmt) for v in set(codes.ravel().tolist())}.get
     # a circuit has at least one step, so the columns zip to every shot
-    return [OracleOutput(reads=reads) for reads in
-            zip(*(map(name, col) for col in codes.T.tolist()))]
+    return list(map(OracleOutput,
+                    zip(*(map(name, col) for col in codes.T.tolist()))))
 
 
 def _guard_output_bits(circuit: Circuit, what: str):

@@ -16,10 +16,14 @@ outcome; ``widen`` puts blocks back into full-width rows for the next
 step. With it the branch tree is built one level per step, once per
 Circuit object and freed with it. The tree is nothing but its levels
 (``Level``: parent rows, transcript codes, probabilities, blocks), which
-the exact folds read; ``BranchNode`` is a view of one level row, made on
-demand, whose state is widened and whose readout law is built when read.
-Before a build, NCMO_MAX_BRANCHES caps the paths and MAX_TREE_BYTES the
-bytes of states (``tree_byte_bound``). ``walk`` runs the kernel on a
+the exact folds read, plus each measuring step's ``cond``: the parents'
+full outcome-weight rows, pruned outcomes included, from which the batched
+sampler draws its splits; ``BranchNode`` is a view of one level row, made
+on demand, whose state is widened and whose readout law is built when
+read. ``cached_levels`` gives a circuit's levels only if they are built
+already. Before a build, NCMO_MAX_BRANCHES caps the paths and
+MAX_TREE_BYTES the bytes of states and ``cond`` rows
+(``tree_byte_bound``). ``walk`` runs the kernel on a
 one-row stack for single shots, and ``draw_readout`` makes one full-width
 read of a state.
 """
@@ -380,12 +384,16 @@ class Level:
     node's parent row in level d - 1, transcript code tau_d (u_1 in the
     high bits, ascending down the level), probability, and post state as
     its block: the 2^(n - m_d) amplitudes inside its outcome u_d (row i of
-    ``blocks``). ``widths`` are m_1..m_d; ``below`` is level d + 1."""
+    ``blocks``). ``cond`` (k_{d-1}, 2^m_d) holds every parent's outcome
+    weights at step d, those at or below BRANCH_PRUNE_TOL included; it is
+    None at the root and where the step measures nothing. ``widths`` are
+    m_1..m_d; ``below`` is level d + 1."""
 
     parent: np.ndarray
     taus: np.ndarray
     probs: np.ndarray
     blocks: np.ndarray
+    cond: np.ndarray | None
     widths: tuple[int, ...]
     below: Level | None
 
@@ -477,16 +485,19 @@ def branch_count_bound(circuit: Circuit) -> int:
 
 
 def tree_byte_bound(circuit: Circuit) -> int:
-    """Bytes of amplitudes a tree build may hold, from the step widths
-    alone: the largest widened level (every step-(d - 1) path at full
-    width) plus every level's blocks (each step-d path at 2^(n - m_d))."""
+    """Bytes a tree build may hold, from the step widths alone: 16 per
+    amplitude of the largest widened level (every step-(d - 1) path at
+    full width) and of every level's blocks (each step-d path at
+    2^(n - m_d)), plus 8 per ``cond`` entry (each (step-(d - 1) path,
+    outcome) pair of a measuring step)."""
     n = circuit.qubits
-    paths, widest, stored = 1, 0, 1 << n
+    paths, widest, stored, weights = 1, 0, 1 << n, 0
     for m in circuit.measure_widths():
         widest = max(widest, paths << n)
         paths <<= m
         stored += paths << (n - m)
-    return 16 * (widest + stored)
+        weights += paths if m else 0
+    return 16 * (widest + stored) + 8 * weights
 
 
 # circuit -> its tree's levels and root view; levels hold no reference back
@@ -522,17 +533,25 @@ def enumerate_branches(circuit: Circuit) -> BranchTree:
     return BranchTree(circuit=circuit, root=cached[1], levels=cached[0])
 
 
+def cached_levels(circuit: Circuit) -> tuple[Level, ...] | None:
+    """The circuit's tree levels if a build has run, else None; never
+    builds and checks no guard."""
+    cached = _TREES.get(circuit)
+    return None if cached is None else cached[0]
+
+
 def _build_tree(circuit: Circuit) -> tuple[Level, ...]:
     """One level per step: widen the parents' blocks to full rows, evolve
     them, and keep the blocks of the (parent, outcome) pairs above
     BRANCH_PRUNE_TOL in row-major order, so children sit by parent in
-    ascending outcome."""
+    ascending outcome; the parents' full outcome weights stay as ``cond``."""
     n, m, outs = circuit.qubits, 0, None
-    # per level: its parent rows, transcript codes, probabilities, blocks
+    # per level: its parent rows, transcript codes, probabilities, blocks,
+    # parents' outcome weights
     found = [(np.full(1, -1), np.zeros(1, dtype=np.int64), np.ones(1),
-              initial_state(n)[None])]
+              initial_state(n)[None], None)]
     for step in circuit.steps:
-        _, taus, probs, blocks = found[-1]
+        _, taus, probs, blocks, _ = found[-1]
         states = apply_step_unitary(widen(blocks, m, outs), step, n)
         m = step.measure
         if m:
@@ -540,9 +559,9 @@ def _build_tree(circuit: Circuit) -> tuple[Level, ...]:
             rows, outs = np.nonzero(cond > BRANCH_PRUNE_TOL)
             found.append((rows, (taus[rows] << m) | outs,
                           probs[rows] * cond[rows, outs],
-                          project(states, m, rows, outs, cond)))
+                          project(states, m, rows, outs, cond), cond))
         else:
-            found.append((np.arange(len(states)), taus, probs, states))
+            found.append((np.arange(len(states)), taus, probs, states, None))
     widths, levels, below = circuit.measure_widths(), [], None
     for d in reversed(range(len(found))):
         below = Level(*found[d], widths[:d], below)

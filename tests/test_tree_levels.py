@@ -172,10 +172,12 @@ def test_byte_bound_of_the_8_8_0_circuit_exceeds_the_cap(monkeypatch):
     c = _eight_eight_zero()
     assert branch_count_bound(c) == 1 << 16   # within the path guard
     # step 3 widens 65,536 paths to 4,096 amplitudes; the stored blocks are
-    # the root, 256 and 65,536 of 16 amplitudes, then 65,536 of 4,096
+    # the root, 256 and 65,536 of 16 amplitudes, then 65,536 of 4,096; the
+    # cond rows are 1 x 256, then 256 x 256 weights
     widest = (1 << 16) << 12
     stored = (1 << 12) + (256 << 4) + ((1 << 16) << 4) + ((1 << 16) << 12)
-    assert tree_byte_bound(c) == 16 * (widest + stored)
+    weights = 256 + (1 << 16)
+    assert tree_byte_bound(c) == 16 * (widest + stored) + 8 * weights
     assert tree_byte_bound(c) > qsim.MAX_TREE_BYTES
 
     def no_build(circuit):
@@ -189,13 +191,13 @@ def test_byte_bound_of_the_8_8_0_circuit_exceeds_the_cap(monkeypatch):
 
 def test_byte_cap_is_checked_on_every_call(monkeypatch):
     c = bell_circuit(1, 1)
-    # widest: 2 paths x 4 amplitudes; stored: 4 + 2 x 2 + 2 x 4
-    assert tree_byte_bound(c) == 16 * (8 + 16)
+    # widest: 2 paths x 4 amplitudes; stored: 4 + 2 x 2 + 2 x 4; cond: 1 x 2
+    assert tree_byte_bound(c) == 16 * 24 + 16
     tree = enumerate_branches(c)
-    monkeypatch.setattr(qsim, "MAX_TREE_BYTES", 16 * 24)
+    monkeypatch.setattr(qsim, "MAX_TREE_BYTES", 16 * 24 + 16)
     assert enumerate_branches(c).root is tree.root
-    monkeypatch.setattr(qsim, "MAX_TREE_BYTES", 16 * 24 - 1)
-    with pytest.raises(InstanceTooLargeError, match="over the cap of 383"):
+    monkeypatch.setattr(qsim, "MAX_TREE_BYTES", 16 * 24 + 16 - 1)
+    with pytest.raises(InstanceTooLargeError, match="over the cap of 399"):
         enumerate_branches(c)
 
 
