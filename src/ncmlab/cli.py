@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .acceptance import BASE_SEED, EXACT_TOL, Check, SUITES, run_suite
 from .acceptance import _leq as _chk
-from .dist import FiniteDist, check_bits, empirical_codes, marginal, sd
+from .dist import check_bits, empirical_codes, marginal, sd
 from .errors import (
     ImpossibleConditionError,
     InstanceTooLargeError,
@@ -339,10 +339,8 @@ def _cmd_run_dcr(args) -> dict:
             rng = np.random.default_rng(seed)
             a = scheme.ans_len
             puzz, ans, ans2 = ColSampler(scheme, pp).draw(rng, args.shots)
-            codes, counts = np.unique((puzz << 2 * a) | (ans << a) | ans2,
-                                      return_counts=True)
-            emp = FiniteDist.from_codes(law.length, codes,
-                                        counts / args.shots)
+            packed = (puzz << 2 * a) | (ans << a) | ans2
+            emp = empirical_codes(packed[:, None], law.length).to_dist()
             tol = 5.0 * (len(law) / args.shots) ** 0.5
             checks.append(_chk(
                 f"dcr/sampled-collision-tv[pp={pp or 'e'}, {args.shots} shots]",

@@ -29,6 +29,7 @@ from .errors import InstanceTooLargeError, ParseError, StructureError
 from .ncmo import oracle_exact, oracle_sample
 from .qsim import (
     MAX_QUBITS,
+    READOUT_PRUNE_TOL,
     Circuit,
     Gate,
     Step,
@@ -42,16 +43,15 @@ from .qsim import (
 )
 
 MAX_COL_SUPPORT = 1 << 20
-STATE_ATOM_TOL = 1e-14  # Born weights at or below this are not atoms
 
 
 def born_weights(amps: np.ndarray) -> np.ndarray:
     """Born weights of an amplitude vector, with every weight at or below
-    STATE_ATOM_TOL set to zero: the atoms of a state-backed sampler law."""
+    READOUT_PRUNE_TOL set to zero: the atoms of a state-backed sampler law."""
     # the same roundings as the scalar (a.conjugate() * a).real; numpy's
     # vectorized complex product differs in the last bit on complex entries
     born = amps.real * amps.real + amps.imag * amps.imag
-    born[born <= STATE_ATOM_TOL] = 0.0
+    born[born <= READOUT_PRUNE_TOL] = 0.0
     return born
 
 

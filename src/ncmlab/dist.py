@@ -2,13 +2,14 @@
 
 Every law in this package (oracle outputs, puzzle joints, collision triples)
 is a FiniteDist: sorted distinct integer codes (key bit i is code bit
-length-1-i) with float probabilities, on which the law algebra works. Bit
-strings appear only at the boundary: the mapping constructor, ``point``,
-JSON, ``items``, ``support``, ``repr``, the key of ``prob`` and ``in``,
-drawn samples and ``push_forward``'s map. Arithmetic is plain double
-precision and every sum runs left to right in code order; a law read from
-bit strings is valid when every entry is nonnegative and the total sits
-within VALID_TOL of 1.
+length-1-i) with float probabilities, on which the law algebra works;
+sampled counts (EmpiricalDist) are held on codes too. Bit strings appear
+only at the boundary: the mapping constructor, ``point``, JSON, ``items``,
+``support``, ``repr``, the key of ``prob`` and ``in``, drawn samples,
+``push_forward``'s map, ``empirical``'s input and ``EmpiricalDist.counts``.
+Arithmetic is plain double precision and every sum runs left to right in
+code order; a law read from bit strings is valid when every entry is
+nonnegative and the total sits within VALID_TOL of 1.
 
 At a fixed length ascending codes are lexicographic order, so support
 always iterates in that order: seeded sampling is reproducible run to run
@@ -40,6 +41,13 @@ def check_bits(s: str) -> str:
     if s.strip("01"):
         raise StructureError(f"not a bit string: {s!r}")
     return s
+
+
+def _check_cap(length: int):
+    if length > MAX_CODE_BITS:
+        raise InstanceTooLargeError(
+            f"a {length}-bit law is past the {MAX_CODE_BITS}-bit cap of "
+            f"its integer codes")
 
 
 def _check_total(total: float):
@@ -80,10 +88,7 @@ class FiniteDist:
         """Law over {0,1}^length from int codes and their weights, which are
         not validated: repeated codes merge, summed in input order, and zero
         weights are dropped."""
-        if length > MAX_CODE_BITS:
-            raise InstanceTooLargeError(
-                f"a {length}-bit law is past the {MAX_CODE_BITS}-bit cap of "
-                f"its integer codes")
+        _check_cap(length)
         codes = np.asarray(codes, dtype=np.int64)
         weights = np.asarray(weights, dtype=np.float64)
         if len(codes) > 1 and not (codes[1:] > codes[:-1]).all():
@@ -273,25 +278,36 @@ def mixture(weighted: Iterable[tuple[float, FiniteDist]]) -> FiniteDist:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalDist:
-    """Counts from repeated sampling, normalizable to a FiniteDist."""
+    """Counts from repeated sampling: the distinct sample rows of
+    ``width``-bit fields, ascending, and how often each was drawn."""
 
-    counts: dict
+    rows: np.ndarray
+    sizes: np.ndarray
+    width: int
     shots: int
 
+    @property
+    def counts(self) -> dict[str, int]:
+        """The counts keyed by bit string, in ascending order."""
+        fmt = f"0{self.width}b"
+        return {"".join(format(v, fmt) for v in row): c
+                for row, c in zip(self.rows.tolist(), self.sizes.tolist())}
+
     def to_dist(self) -> FiniteDist:
-        if self.shots <= 0:
-            raise StructureError("no samples")
-        return FiniteDist(
-            {k: c / self.shots for k, c in self.counts.items()})
+        length = self.rows.shape[1] * self.width
+        _check_cap(length)
+        codes = np.zeros(len(self.rows), dtype=np.int64)
+        for field in self.rows.T.astype(np.int64):
+            codes = (codes << self.width) | field
+        return FiniteDist.from_codes(length, codes,
+                                     self.sizes / self.shots)
 
     def to_json(self) -> dict:
-        """``to_dist().to_json()``, also for keys past the code cap."""
-        if self.shots <= 0 or not self.counts:
-            raise StructureError("no samples")
-        probs = {k: self.counts[k] / self.shots for k in sorted(self.counts)}
-        return {"length": len(next(iter(probs))), "probs": probs}
+        """``to_dist().to_json()``, also for samples past the code cap."""
+        return {"length": self.rows.shape[1] * self.width, "probs": {
+            k: c / self.shots for k, c in self.counts.items()}}
 
 
 def ragged_blocks(lengths: np.ndarray):
@@ -315,30 +331,23 @@ def ragged_blocks(lengths: np.ndarray):
 
 
 def empirical(samples: Iterable[str]) -> EmpiricalDist:
-    counts: dict[str, int] = {}
-    n = 0
-    length = None
-    for s in samples:
-        check_bits(s)
-        if length is None:
-            length = len(s)
-        elif len(s) != length:
-            raise StructureError("samples have mixed lengths")
-        counts[s] = counts.get(s, 0) + 1
-        n += 1
-    if n == 0:
-        raise StructureError("no samples")
-    return EmpiricalDist(counts=counts, shots=n)
+    """``empirical_codes`` of bit-string samples, one field each."""
+    samples = [check_bits(s) for s in samples]
+    width = len(samples[0]) if samples else 1
+    if any(len(s) != width for s in samples):
+        raise StructureError("samples have mixed lengths")
+    _check_cap(width)
+    codes = np.array([int(s or "0", 2) for s in samples], dtype=np.int64)
+    return empirical_codes(codes[:, None], width)
 
 
 def empirical_codes(rows: np.ndarray, width: int) -> EmpiricalDist:
-    """Counts of integer-coded samples, keyed by bit string.
+    """Counts of integer-coded samples: every counter of samples ends here.
 
     Row i is sample i; each column holds a ``width``-bit field, and the
-    sample's bit string is the fields formatted in column order. One
-    lexsort over the columns groups equal rows, and only the distinct rows
-    are formatted, so the counts equal ``empirical`` of the per-sample
-    strings.
+    sample's code is the fields joined in column order. One lexsort over
+    the columns groups equal rows into ascending distinct rows, so the
+    counts equal ``empirical`` of the per-sample strings.
     """
     rows = np.asarray(rows)
     if rows.ndim != 2 or rows.shape[1] == 0:
@@ -354,8 +363,5 @@ def empirical_codes(rows: np.ndarray, width: int) -> EmpiricalDist:
     ordered = rows[np.lexsort(rows.T[::-1])]
     starts = np.flatnonzero(np.concatenate(
         ([True], (ordered[1:] != ordered[:-1]).any(axis=1))))
-    sizes = np.diff(np.append(starts, shots))
-    fmt = f"0{width}b"
-    counts = {"".join(format(v, fmt) for v in row): c
-              for row, c in zip(ordered[starts].tolist(), sizes.tolist())}
-    return EmpiricalDist(counts=counts, shots=shots)
+    return EmpiricalDist(ordered[starts], np.diff(np.append(starts, shots)),
+                         width, shots)

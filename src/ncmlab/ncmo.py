@@ -55,7 +55,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dist import FiniteDist, check_bits, product, ragged_blocks
+from .dist import FiniteDist, check_bits, product, ragged_blocks, sd
 from .errors import (
     InstanceTooLargeError,
     ProtocolError,
@@ -202,7 +202,6 @@ def oracle_read_codes(circuit: Circuit, shots: int,
                 # a drawn outcome the tree pruned: evolve from here on
                 rows = None
                 evolved = apply_step_unitary(widen(*parent_blocks), step, n)
-                cond = outcome_probs(evolved, m, n)
         if rows is not None:
             blocks = level.blocks[rows]
         else:
@@ -555,10 +554,9 @@ class PdqpInstanceFamily:
         return session_law(self.machine, x, eps, backend_law)
 
     def check_reference(self, x: str, eps: float) -> float:
-        from .dist import sd as _sd
         if x not in self.reference:
             raise StructureError(f"no reference law for instance {x!r}")
-        return _sd(self.output_law(x, eps), self.reference[x])
+        return sd(self.output_law(x, eps), self.reference[x])
 
 
 class _OneBitWrapped(BaseMachine):

@@ -43,7 +43,7 @@ from .errors import (
     RetryBudgetExceededError,
     StructureError,
 )
-from .dcrpuzz import ColSampler, DcrScheme, born_weights
+from .dcrpuzz import ColSampler, DcrScheme, born_weights, random_function_table
 from .ncmo import DEFAULT_RETRY_BUDGET
 
 MAX_MAC_QUBITS = 6
@@ -209,7 +209,6 @@ def _sign_weights(n: int, lm: int, messages: np.ndarray) -> np.ndarray:
 
 
 def toy_mac(n: int, lm: int, rng: np.random.Generator) -> ToyMac:
-    from .dcrpuzz import random_function_table
     _check_qubits(n, 1, MAX_MAC_QUBITS)
     return ToyMac(n, lm, random_function_table(rng, 2 * n, 2 * n))
 
@@ -406,7 +405,6 @@ class ToyCommitment:
 
 
 def toy_commitment(n: int, c: int, rng: np.random.Generator) -> ToyCommitment:
-    from .dcrpuzz import random_function_table
     _check_qubits(n, 2, MAX_COM_QUBITS)
     return ToyCommitment(n, c, random_function_table(rng, 2 * n, n - c))
 

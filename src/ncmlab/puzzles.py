@@ -35,6 +35,7 @@ from .dist import (
     FiniteDist,
     check_bits,
     condition,
+    empirical,
     marginal,
     prefixed_mixture,
     sd,
@@ -587,7 +588,6 @@ def advantage(sampler: PuzzleSampler, adversary: PuzzleAdversary,
         honest_draws.append(puzz + ans)
         puzz2, _ = sampler.sample(rng)
         guessed_draws.append(puzz2 + adversary.guess(puzz2, rng))
-    from .dist import empirical
     h = empirical(honest_draws).to_dist()
     g = empirical(guessed_draws).to_dist()
     support = len(set(h.support) | set(g.support))
@@ -608,20 +608,30 @@ def support_verifier(sampler: PuzzleSampler) -> Callable[[str, str], bool]:
 
 # -- solvers and the adaptive replacement --------------------------------------
 
-def _to_step_adversary(adv) -> StepAdversary:
-    if isinstance(adv, StepAdversary):
-        return adv
-    raise StructureError("solver backends need a StepAdversary")
+def _replacement_adversary(machine: BaseMachine, i: int,
+                           adv) -> StepAdversary:
+    """adv, checked to answer the first i queries of machine."""
+    if not 0 <= i <= machine.query_bound:
+        raise StructureError(
+            f"replacement index {i} outside 0..{machine.query_bound}")
+    if not isinstance(adv, StepAdversary):
+        raise StructureError("solver backends need a StepAdversary")
+    return adv
+
+
+def _solver_adversary(fam: PdqpInstanceFamily, adv) -> StepAdversary:
+    """adv, checked for solver_f: it answers the one query of fam."""
+    if fam.machine.query_bound != 1:
+        raise StructureError(
+            "solver_f drives single-query machines; use "
+            "adaptive_replacement for larger bounds")
+    return _replacement_adversary(fam.machine, 1, adv)
 
 
 def solver_f(fam: PdqpInstanceFamily, x: str, eps: float, adv: StepAdversary,
              rng: np.random.Generator) -> str:
     """Run the base machine with every read answered by hybrid B(0)."""
-    if fam.machine.query_bound != 1:
-        raise StructureError(
-            "solver_f drives single-query machines; use "
-            "adaptive_replacement for larger bounds")
-    adv = _to_step_adversary(adv)
+    adv = _solver_adversary(fam, adv)
 
     def backend(circuit, rng_):
         return q_star(x, circuit, adv, rng_)
@@ -631,11 +641,7 @@ def solver_f(fam: PdqpInstanceFamily, x: str, eps: float, adv: StepAdversary,
 
 def solver_f_law(fam: PdqpInstanceFamily, x: str, eps: float,
                  adv: StepAdversary) -> FiniteDist:
-    if fam.machine.query_bound != 1:
-        raise StructureError(
-            "solver_f drives single-query machines; use "
-            "adaptive_replacement for larger bounds")
-    adv = _to_step_adversary(adv)
+    adv = _solver_adversary(fam, adv)
     return session_law(
         fam.machine, x, eps,
         lambda circuit, k: q_star_law(x, circuit, adv))
@@ -649,10 +655,7 @@ def adaptive_replacement_law(machine: BaseMachine, x: str, eps: float,
     surrogate, the rest to the true oracle. i = 0 is the genuine session,
     i = query_bound replaces everything.
     """
-    if not 0 <= i <= machine.query_bound:
-        raise StructureError(
-            f"replacement index {i} outside 0..{machine.query_bound}")
-    adv = _to_step_adversary(adv)
+    adv = _replacement_adversary(machine, i, adv)
 
     def backend_law(circuit, k):
         if k < i:
@@ -665,10 +668,7 @@ def adaptive_replacement_law(machine: BaseMachine, x: str, eps: float,
 def adaptive_replacement_sample(machine: BaseMachine, x: str, eps: float,
                                 i: int, adv: StepAdversary,
                                 rng: np.random.Generator) -> str:
-    if not 0 <= i <= machine.query_bound:
-        raise StructureError(
-            f"replacement index {i} outside 0..{machine.query_bound}")
-    adv = _to_step_adversary(adv)
+    adv = _replacement_adversary(machine, i, adv)
     count = {"k": 0}
 
     def backend(circuit, rng_):
