@@ -14,6 +14,7 @@ count, so they are functions of the config alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -70,15 +71,25 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive_int(raw: str) -> int:
+def _int_at_least(raw: str, low: int) -> int:
     try:
         value = int(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid int value: {raw!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {low}, got {value}")
     return value
+
+
+def _positive_int(raw: str) -> int:
+    return _int_at_least(raw, 1)
+
+
+def _seed(raw: str) -> int:
+    # numpy's generators take non-negative seeds only
+    return _int_at_least(raw, 0)
 
 
 def _binomial_tol(trials: int) -> float:
@@ -376,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--mode", choices=("exact", "sample"),
                         default="exact")
     oracle.add_argument("--shots", type=_positive_int, default=10000)
-    oracle.add_argument("--seed", type=int, default=None,
+    oracle.add_argument("--seed", type=_seed, default=None,
                         help="required in sample mode")
     oracle.add_argument("--out", default=None, help="report file "
                         "(default: stdout)")
@@ -403,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     reduction.add_argument("--params", default=None,
                            help="k=v list: mac n,lm; commitment n,c,table")
     reduction.add_argument("--trials", type=_positive_int, default=10000)
-    reduction.add_argument("--seed", type=int, default=None, required=False)
+    reduction.add_argument("--seed", type=_seed, default=None, required=False)
     reduction.add_argument("--out", default=None)
     reduction.set_defaults(fn=_cmd_run_reduction)
 
@@ -414,13 +425,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help="single public parameter (default: all)")
     dcr.add_argument("--mode", choices=("exact", "sample"), default="exact")
     dcr.add_argument("--shots", type=_positive_int, default=10000)
-    dcr.add_argument("--seed", type=int, default=None)
+    dcr.add_argument("--seed", type=_seed, default=None)
     dcr.add_argument("--out", default=None)
     dcr.set_defaults(fn=_cmd_run_dcr)
 
     suite = sub.add_parser("suite", help="named acceptance suite")
     suite.add_argument("name", choices=tuple(sorted(SUITES)))
-    suite.add_argument("--seed", type=int, default=BASE_SEED,
+    suite.add_argument("--seed", type=_seed, default=BASE_SEED,
                        help=f"default {BASE_SEED}")
     suite.add_argument("--out", default=None)
     suite.set_defaults(fn=_cmd_suite)
@@ -428,10 +439,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: ``parse_args`` leaves it unchanged, so
+    every ``main`` call after the first skips building it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -36,6 +36,7 @@ from .qsim import (
     _json_int,
     _json_number,
     apply_step_unitary,
+    check_bytes,
     circuit_from_json,
     circuit_to_json,
     initial_state,
@@ -43,6 +44,9 @@ from .qsim import (
 )
 
 MAX_COL_SUPPORT = 1 << 20
+# bytes a ColSampler draw may hold per trial, against qsim.MAX_TREE_BYTES:
+# a whole mac or commitment game measured about 126
+DRAW_BYTES_PER_TRIAL = 192
 
 
 def born_weights(amps: np.ndarray) -> np.ndarray:
@@ -246,7 +250,10 @@ class ColSampler:
 
     def draw(self, rng: np.random.Generator,
              trials: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(puzz, ans, ans') code arrays of ``trials`` collision draws."""
+        """(puzz, ans, ans') code arrays of ``trials`` collision draws,
+        refused before any array is made past the byte cap at
+        DRAW_BYTES_PER_TRIAL."""
+        check_bytes(DRAW_BYTES_PER_TRIAL * trials, f"{trials} collision draws")
         u = rng.random(3 * trials).reshape(trials, 3)
         cum = self._marg_cum
         row = np.minimum(np.searchsorted(cum, u[:, 0] * cum[-1],

@@ -35,7 +35,9 @@ arrays (``qsim.Level``), with no law object per node. ``path_fold`` sums,
 over the leaves, Pr[leaf] times the product of one read law per step along
 the leaf's path; it takes each step's read laws as one ragged law over the
 level's nodes and extends every parent's codes in one gather per level:
-``oracle_exact`` and ``puzzles.hybrid_b_law`` use it. ``q_t_law``,
+``oracle_exact`` and ``puzzles.hybrid_b_law`` use it, and
+``puzzles.hybrid_laws`` runs the same per-level step (``_fold_level``) to
+share each genuine prefix among B(k)..B(T). ``q_t_law``,
 ``puzzles.step_pair_law`` and ``puzzles.InstancePuzzleSampler.joint_law``
 join each step-t node's tau_t to a ragged suffix law over the level in one
 pass; the Born weights come from the level's blocks (``Level.reads``),
@@ -69,6 +71,7 @@ from .qsim import (
     Level,
     apply_step_unitary,
     cached_levels,
+    check_bytes,
     draw_readout,
     enumerate_branches,
     initial_state,
@@ -159,10 +162,12 @@ def oracle_read_codes(circuit: Circuit, shots: int,
     one ``choice`` call per child, so seeded reads are unchanged, and a
     tree's blocks and weights equal the evolved ones bit for bit. The
     per-shot law is identical to ``oracle_sample``; only the bookkeeping is
-    batched.
+    batched. ``sample_byte_bound`` is held to the byte cap before any
+    array is made.
     """
     if shots < 0:
         raise StructureError(f"shots must be nonnegative, got {shots}")
+    check_bytes(sample_byte_bound(circuit, shots), f"{shots} oracle calls")
     n = circuit.qubits
     reads = np.empty((shots, circuit.depth), dtype=np.int64)
     if shots == 0:
@@ -222,6 +227,14 @@ def oracle_read_codes(circuit: Circuit, shots: int,
     return reads
 
 
+def sample_byte_bound(circuit: Circuit, shots: int) -> int:
+    """Bytes ``shots`` batched calls may hold: 16 per shot and step plus 32
+    per shot. The sampler's peak is its int64 reads plus three shot-length
+    arrays of one step, and counting the reads (``empirical_codes``) holds
+    less than one more copy of them."""
+    return 16 * shots * (circuit.depth + 2)
+
+
 def oracle_sample_many(circuit: Circuit, shots: int,
                        rng: np.random.Generator) -> list[OracleOutput]:
     """``oracle_read_codes`` with each readout formatted as a bit string;
@@ -258,30 +271,47 @@ def path_fold(circuit: Circuit,
     ``read_law(i, level)`` gives the read laws of all step-i nodes as one
     ragged law ``(rows, codes, weights)``: node ``rows[j]`` has the n-bit
     atom ``codes[j]`` with weight ``weights[j]``, rows ascending. Each
-    level extends every parent's (codes, weights) in one gather, entries
-    ordered by child, then by parent entry, then by atom, so a shared path
-    prefix is multiplied out once and equal codes merge in the order of a
-    node-by-node fold. The leaf probabilities multiply in last.
+    level extends every parent's (codes, weights) in one gather
+    (``_fold_level``), so a shared path prefix is multiplied out once and
+    equal codes merge in the order of a node-by-node fold. The leaf
+    probabilities multiply in last (``_fold_law``).
     """
-    levels, n = enumerate_branches(circuit).levels, circuit.qubits
-    # the level's entries, grouped by node (sizes[c] of node c), each a
-    # code so far and its weight
-    rows, codes, weights = read_law(1, levels[1])
-    sizes = np.bincount(rows, minlength=len(levels[1].parent))
-    for i in range(2, circuit.depth + 1):
-        parent = levels[i].parent
-        rows, r, rw = read_law(i, levels[i])
-        atoms = np.bincount(rows, minlength=len(parent))
-        # child c's entries: one run per entry of its parent, in order,
-        # each run c's atoms in order
-        runs = sizes[parent]
-        pick = _ragged_arange((np.cumsum(sizes) - sizes)[parent], runs)
-        width = np.repeat(atoms, runs)
-        at = _ragged_arange(np.repeat(np.cumsum(atoms) - atoms, runs), width)
-        codes = (np.repeat(codes[pick], width) << n) | r[at]
-        weights = np.repeat(weights[pick], width) * rw[at]
-        sizes = runs * atoms
-    return FiniteDist.from_codes(circuit.depth * n, codes,
+    levels, fold = enumerate_branches(circuit).levels, None
+    for i in range(1, circuit.depth + 1):
+        fold = _fold_level(fold, levels[i], read_law(i, levels[i]),
+                           circuit.qubits)
+    return _fold_law(circuit, levels, fold)
+
+
+def _fold_level(fold: tuple | None, level: Level, law: tuple,
+               n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fold of the path prefixes through ``level``: ``fold`` (None
+    before step 1) extended by ``law``, the level's ragged read law.
+
+    A fold is (codes, weights, sizes): its entries grouped by node of its
+    last level, node c holding sizes[c] of them, each a code so far and
+    its weight. Child c's entries are one run per entry of its parent, in
+    order, each run c's atoms in order.
+    """
+    rows, r, rw = law
+    atoms = np.bincount(rows, minlength=len(level.parent))
+    if fold is None:
+        return r, rw, atoms
+    codes, weights, sizes = fold
+    runs = sizes[level.parent]
+    pick = _ragged_arange((np.cumsum(sizes) - sizes)[level.parent], runs)
+    width = np.repeat(atoms, runs)
+    at = _ragged_arange(np.repeat(np.cumsum(atoms) - atoms, runs), width)
+    return ((np.repeat(codes[pick], width) << n) | r[at],
+            np.repeat(weights[pick], width) * rw[at], runs * atoms)
+
+
+def _fold_law(circuit: Circuit, levels: tuple[Level, ...],
+              fold: tuple) -> FiniteDist:
+    """The law of a fold through the leaves ``levels[-1]``, Pr[leaf]
+    multiplied in last."""
+    codes, weights, sizes = fold
+    return FiniteDist.from_codes(circuit.depth * circuit.qubits, codes,
                                  np.repeat(levels[-1].probs, sizes) * weights)
 
 

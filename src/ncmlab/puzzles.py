@@ -47,6 +47,8 @@ from .ncmo import (
     OracleOutput,
     PdqpInstanceFamily,
     Transcript,
+    _fold_law,
+    _fold_level,
     _guard_output_bits,
     _rejection_run,
     _tau_law,
@@ -58,7 +60,7 @@ from .ncmo import (
     run_session,
     session_law,
 )
-from .qsim import Circuit, draw_readout, enumerate_branches, walk
+from .qsim import Circuit, Level, draw_readout, enumerate_branches, walk
 
 T_FIELD_BITS = 8
 
@@ -231,11 +233,46 @@ def hybrid_b_law(k: int, x: str, circuit: Circuit,
     def read_law(i, level):
         if i <= k:
             return level.reads()
-        # a guess is read as u_i || the guessed suffix
-        rows, suffixes, weights = adv.level_law(x, circuit, i)
-        return rows, level.codes(rows, suffixes), weights
+        return _guess_reads(x, circuit, adv, i, level)
 
     return path_fold(circuit, read_law)
+
+
+def hybrid_laws(x: str, circuit: Circuit,
+                adv: StepAdversary) -> tuple[FiniteDist, ...]:
+    """Exact laws of B(0)..B(T) in one pass, B(k) bit for bit
+    ``hybrid_b_law(k, ...)``.
+
+    Each level's genuine reads and guesses are made once (``level_law``
+    once per level). The genuine prefix G_k, levels 1..k read genuinely,
+    is G_{k-1} extended by level k, and B(k) is G_k extended by the
+    guesses of levels k+1..T: each B(k) is extended level by level in
+    ``path_fold``'s entry order, with the leaf probabilities multiplied
+    in last.
+    """
+    _guard_output_bits(circuit, "hybrid_laws")
+    levels, depth, n = (enumerate_branches(circuit).levels, circuit.depth,
+                        circuit.qubits)
+    guesses = [None] + [_guess_reads(x, circuit, adv, i, levels[i])
+                        for i in range(1, depth + 1)]
+    laws, genuine = [], None
+    for k in range(depth + 1):
+        fold = genuine
+        for i in range(k + 1, depth + 1):
+            fold = _fold_level(fold, levels[i], guesses[i], n)
+        laws.append(_fold_law(circuit, levels, fold))
+        if k < depth:
+            genuine = _fold_level(genuine, levels[k + 1],
+                                  levels[k + 1].reads(), n)
+    return tuple(laws)
+
+
+def _guess_reads(x: str, circuit: Circuit, adv: StepAdversary, i: int,
+                 level: Level) -> tuple:
+    """Step i's guesses as one ragged read law over the level: each read
+    is u_i || the guessed suffix."""
+    rows, suffixes, weights = adv.level_law(x, circuit, i)
+    return rows, level.codes(rows, suffixes), weights
 
 
 def q_star(x: str, circuit: Circuit, adv: StepAdversary,
@@ -280,8 +317,7 @@ class HybridReport:
 
 def per_step_sd(x: str, circuit: Circuit, adv: StepAdversary) -> HybridReport:
     """Exact hybrid-chain distances; the two gap lists agree entrywise."""
-    laws = [hybrid_b_law(k, x, circuit, adv)
-            for k in range(circuit.depth + 1)]
+    laws = hybrid_laws(x, circuit, adv)
     hybrid_gaps = tuple(sd(laws[t - 1], laws[t])
                         for t in range(1, circuit.depth + 1))
     return HybridReport(hybrid_gaps=hybrid_gaps,

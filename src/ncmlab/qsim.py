@@ -23,7 +23,8 @@ on demand, whose state is widened and whose readout law is built when
 read. ``cached_levels`` gives a circuit's levels only if they are built
 already. Before a build, NCMO_MAX_BRANCHES caps the paths and
 MAX_TREE_BYTES the bytes of states and ``cond`` rows
-(``tree_byte_bound``). ``walk`` runs the kernel on a
+(``tree_byte_bound``); ``check_bytes`` holds the samplers' arrays to the
+same cap. ``walk`` runs the kernel on a
 one-row stack for single shots, and ``draw_readout`` makes one full-width
 read of a state.
 """
@@ -54,7 +55,8 @@ UNITARY_TOL = 1e-7
 BRANCH_PRUNE_TOL = 1e-12
 READOUT_PRUNE_TOL = 1e-14
 DEFAULT_BRANCH_GUARD = 1 << 16
-# cap on tree_byte_bound: the bytes of states one branch tree may hold
+# cap on the bytes of states one branch tree may hold (tree_byte_bound), and
+# on the sample arrays of one batched draw
 MAX_TREE_BYTES = 1 << 30
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
@@ -500,6 +502,15 @@ def tree_byte_bound(circuit: Circuit) -> int:
     return 16 * (widest + stored) + 8 * weights
 
 
+def check_bytes(size: int, what: str) -> None:
+    """Refuse ``what``, before it allocates, if it would hold more than
+    MAX_TREE_BYTES."""
+    if size > MAX_TREE_BYTES:
+        raise InstanceTooLargeError(
+            f"{what} would hold up to {size} bytes, over the cap of "
+            f"{MAX_TREE_BYTES}")
+
+
 # circuit -> its tree's levels and root view; levels hold no reference back
 # to their circuit, so an entry goes when its circuit does
 _TREES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -521,11 +532,7 @@ def enumerate_branches(circuit: Circuit) -> BranchTree:
         raise InstanceTooLargeError(
             f"branch enumeration would visit up to {bound} paths, over the "
             f"guard of {guard} (override with NCMO_MAX_BRANCHES)")
-    size = tree_byte_bound(circuit)
-    if size > MAX_TREE_BYTES:
-        raise InstanceTooLargeError(
-            f"branch enumeration would hold up to {size} bytes of states, "
-            f"over the cap of {MAX_TREE_BYTES}")
+    check_bytes(tree_byte_bound(circuit), "branch enumeration")
     cached = _TREES.get(circuit)
     if cached is None:
         levels = _build_tree(circuit)
@@ -773,11 +780,12 @@ def circuit_from_json(obj: dict) -> Circuit:
 
 
 def load_json(path: str):
-    """Read one JSON file; a missing or malformed file is a ParseError."""
+    """Read one JSON file; a missing or malformed file is a ParseError,
+    as is text that is not UTF-8 or nests past the decoder's depth."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise ParseError(f"{path} is not valid JSON: {e}") from e
