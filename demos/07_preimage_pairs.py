@@ -22,8 +22,9 @@ rng = np.random.default_rng(2026)
 table = random_function_table(rng, in_len=3, out_len=2)
 scheme = function_scheme(table, 3, 2)
 
-sizes = Counter(table.values())
-print("preimage class sizes:", dict(sorted(sizes.items())))
+sizes = Counter(table.tolist())
+print("preimage class sizes:",
+      {format(y, "02b"): c for y, c in sorted(sizes.items())})
 
 # route 1: count by hand
 brute = 1.0 - sum((c / 8.0) * (1.0 / c) for c in sizes.values())

@@ -307,7 +307,7 @@ def criterion_10(seed: int = BASE_SEED) -> list[Check]:
     for _ in range(10):
         table = random_function_table(rng, 3, 2)
         scheme = function_scheme(table, 3, 2)
-        counts = Counter(table.values())
+        counts = Counter(table.tolist())
         brute = 1.0 - sum((c / 8) * (1 / c) for c in counts.values())
         worst_col = max(worst_col,
                         abs(distinct_answer_prob(scheme, "") - brute))

@@ -292,12 +292,14 @@ def _cmd_run_reduction(args) -> dict:
     exact = game.exact
     parity_mass = both_parity_mass(com)
     if variant == "coherent":
-        # two independent openings drawn inside one digest class
+        # two independent openings drawn inside one digest class, summed
+        # over the digests in the order of their first key
         total = 1 << (2 * com.n)
+        zeros, ones = com.parity_counts.tolist()
         formula = 0.0
-        for zero, one in com.classes.values():
-            size = len(zero) + len(one)
-            formula += (size / total) * 2 * (len(zero) / size) * (len(one) / size)
+        for y in dict.fromkeys(com.digest_codes.tolist()):
+            size = zeros[y] + ones[y]
+            formula += (size / total) * 2 * (zeros[y] / size) * (ones[y] / size)
         checks.append(_chk("commitment/exact-win-matches-parity-product",
                            abs(exact - formula), EXACT_TOL))
         if p["table"] == "balanced":
@@ -454,6 +456,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
     start = time.perf_counter()
     try:
+        # a report that cannot be written is refused before the run
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise ParseError(f"cannot write {args.out}: no such directory")
         report = args.fn(args)
         _emit(report, args.out)
     except (ParseError, StructureError, ProtocolError,

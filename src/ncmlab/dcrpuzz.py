@@ -194,7 +194,22 @@ def col_sample(scheme: DcrScheme, pp: str,
     return CollisionTriple(puzz=puzz, ans=ans, ans2=ans2)
 
 
-_ROW_CUM = np.dtype([("row", np.int64), ("cum", np.float64)])
+def segmented_search(cum: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                     queries: np.ndarray, rounds: int) -> np.ndarray:
+    """``start + searchsorted(cum[start:end], q, side="right")`` per query,
+    as one binary search that steps right where ``cum[mid] <= q``. The
+    bounds broadcast against ``queries``; ``rounds`` must reach the bit
+    length of the longest segment."""
+    lo = np.broadcast_to(starts, queries.shape).copy()
+    hi = np.broadcast_to(ends, queries.shape).copy()
+    last = len(cum) - 1
+    for _ in range(rounds):
+        mid = (lo + hi) >> 1
+        # a settled search (lo == hi) reads a clipped index and stays put
+        right = (cum[np.minimum(mid, last)] <= queries) & (mid < hi)
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(right, hi, mid)
+    return lo
 
 
 class ColSampler:
@@ -231,22 +246,23 @@ class ColSampler:
         """rows, cols: atom coordinates in (row, col) order; w: masses."""
         if len(w) == 0:
             raise StructureError("sampler law has empty support")
-        starts = np.flatnonzero(np.concatenate(
+        self._starts = np.flatnonzero(np.concatenate(
             ([True], rows[1:] != rows[:-1])))
-        self._ends = np.append(starts[1:], len(w))
-        self._puzz = rows[starts]
+        self._ends = np.append(self._starts[1:], len(w))
+        self._puzz = rows[self._starts]
         self._cols = cols
         # per-row masses and conditional cumsums, both summed left to
         # right, the order of the scalar sampler's Python sums; rows of
         # one length are one block
-        marg = np.empty(len(starts))
-        self._atoms = np.empty(len(w), dtype=_ROW_CUM)
-        self._atoms["row"] = rows
-        for r, at in ragged_blocks(self._ends - starts):
+        sizes = self._ends - self._starts
+        marg = np.empty(len(sizes))
+        self._cum = np.empty(len(w))
+        for r, at in ragged_blocks(sizes):
             seg = w[at]
             marg[r] = np.cumsum(seg, axis=1)[:, -1]
-            self._atoms["cum"][at] = np.cumsum(seg / marg[r][:, None], axis=1)
+            self._cum[at] = np.cumsum(seg / marg[r][:, None], axis=1)
         self._marg_cum = np.cumsum(marg)
+        self._rounds = int(sizes.max()).bit_length()
 
     def draw(self, rng: np.random.Generator,
              trials: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -258,14 +274,11 @@ class ColSampler:
         cum = self._marg_cum
         row = np.minimum(np.searchsorted(cum, u[:, 0] * cum[-1],
                                          side="right"), len(cum) - 1)
-        last = self._ends[row][:, None] - 1
-        # one lexicographic search over (row, cumsum) pairs places every
-        # answer inside its own row, by the scalar search's comparisons
-        query = np.empty((trials, 2), dtype=_ROW_CUM)
-        query["row"] = self._puzz[row][:, None]
-        query["cum"] = u[:, 1:] * self._atoms["cum"][last]
-        at = np.searchsorted(self._atoms, query, side="right")
-        ans = self._cols[np.minimum(at, last)]
+        start, end = self._starts[row][:, None], self._ends[row][:, None]
+        # both answers of a trial are searched inside the puzzle's row
+        at = segmented_search(self._cum, start, end,
+                              u[:, 1:] * self._cum[end - 1], self._rounds)
+        ans = self._cols[np.minimum(at, end - 1)]
         return self._puzz[row], ans[:, 0], ans[:, 1]
 
 
@@ -427,13 +440,24 @@ def random_law_scheme(rng: np.random.Generator, *, pp_len: int = 1,
 
 
 def random_function_table(rng: np.random.Generator, in_len: int,
-                          out_len: int) -> dict[str, str]:
-    return {format(i, f"0{in_len}b"): format(int(rng.integers(1 << out_len)),
-                                             f"0{out_len}b")
-            for i in range(1 << in_len)}
+                          out_len: int) -> np.ndarray:
+    """A uniform f: entry i is the out_len-bit code of f at input code i.
+    One call draws the stream of 2^in_len scalar ``integers`` calls."""
+    return rng.integers(1 << out_len, size=1 << in_len)
 
 
-def function_scheme(table: dict[str, str], in_len: int,
+def table_codes(table, in_len: int, out_len: int) -> np.ndarray:
+    """An int64 copy of a function table, checked as one integer code below
+    2^out_len per input code."""
+    codes = np.asarray(table)
+    if (codes.shape != (1 << in_len,) or codes.dtype.kind not in "iu"
+            or codes.min() < 0 or int(codes.max()) >> out_len):
+        raise StructureError(
+            f"table must hold {1 << in_len} integer codes of {out_len} bits")
+    return codes.astype(np.int64)
+
+
+def function_scheme(table: np.ndarray, in_len: int,
                     out_len: int) -> DcrScheme:
     """Preimage sampler of a function: puzz = f(x), ans = x, x uniform.
 
@@ -441,14 +465,10 @@ def function_scheme(table: dict[str, str], in_len: int,
     which is what the two oracle reads produce on the coherent-preimage
     state.
     """
-    if len(table) != 1 << in_len:
-        raise StructureError(f"table must cover all {1 << in_len} inputs")
-    probs = {}
-    for x, y in table.items():
-        if len(x) != in_len or len(y) != out_len:
-            raise StructureError("table entry widths disagree with registers")
-        probs[y + x] = 1.0 / (1 << in_len)
-    law = FiniteDist(probs)
+    codes = table_codes(table, in_len, out_len)
+    law = FiniteDist.from_codes(out_len + in_len,
+                                (codes << in_len) | np.arange(len(codes)),
+                                np.full(len(codes), 1.0 / (1 << in_len)))
     return DcrScheme(puzz_len=out_len, ans_len=in_len,
                      setup=FiniteDist.point(""), samp_laws={"": law})
 

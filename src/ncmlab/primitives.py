@@ -18,14 +18,17 @@ superposes both bit values before the digest is measured. The collision
 attack succeeds only against the coherent form, and that gap is preserved
 here as a documented behavior, not smoothed over.
 
-Both toys carry integer game tables, built once per instance and indexed by
-the registers' big-endian codes: for the tag scheme the sampler law
-P[vk, m, sigma] and the verification table V[vk, m, sigma]; for the
-commitment the receiver's table ok[y, b || key], read against the Born law
-P[y, b || key] of a sampler form's state. Exact game values are sums over
-these arrays, and a collision attack draws all its trials in one
+Both toys take their public table R as an int64 code array (entry k is R
+at key code k = x || theta) and build their game tables from it once per
+instance, indexed by the registers' big-endian codes: for the tag scheme
+the sampler law P[vk, m, sigma] and the verification table V[vk, m, sigma];
+for the commitment the receiver's table ok[y, b || key], read against the
+Born law P[y, b || key] of a sampler form's state. Exact game values are
+sums over these arrays, and a collision attack draws all its trials in one
 ``ColSampler.draw`` batch and scores them in one comparison. The bit-string
-methods (``sign_law``, ``ver``, ``r2``) remain the single-call interface.
+methods (``sign_law``, ``gen``, ``ver``, ``r2``) remain the single-call
+interface; the string views they read (``table``, ``preimages``,
+``classes``) are formatted on first read.
 """
 
 from __future__ import annotations
@@ -36,14 +39,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import FiniteDist, check_bits, marginal, sd
+from .dist import FiniteDist, marginal, sd
 from .errors import (
     ImpossibleConditionError,
     InstanceTooLargeError,
     RetryBudgetExceededError,
     StructureError,
 )
-from .dcrpuzz import ColSampler, DcrScheme, born_weights, random_function_table
+from .dcrpuzz import (ColSampler, DcrScheme, born_weights,
+                      random_function_table, table_codes)
 from .ncmo import DEFAULT_RETRY_BUDGET
 
 MAX_MAC_QUBITS = 6
@@ -86,14 +90,6 @@ def _check_qubits(n: int, low: int, cap: int):
         raise StructureError(f"n must be {low}..{cap}")
 
 
-def _codes(table: dict[str, str], width: int) -> np.ndarray:
-    """The table as an array: entry i is the code of the value at key i."""
-    out = np.empty(1 << width, dtype=np.int64)
-    for key, value in table.items():
-        out[int(check_bits(key), 2)] = int(check_bits(value), 2)
-    return out
-
-
 def _seq_last(a: np.ndarray) -> np.ndarray:
     """Sums along the last axis, added left to right."""
     return np.cumsum(a, axis=-1)[..., -1]
@@ -112,23 +108,28 @@ class ToyMac:
     property of vk alone, so any answer in the honest conditional verifies.
     """
 
-    def __init__(self, n: int, lm: int, table: dict[str, str]):
+    def __init__(self, n: int, lm: int, table: np.ndarray):
         _check_qubits(n, 1, MAX_MAC_QUBITS)
         if not 1 <= lm <= n:
             raise StructureError("message length must be 1..n")
-        if len(table) != 1 << (2 * n):
-            raise StructureError("table must cover every (x, theta)")
-        for key, vk in table.items():
-            if len(key) != 2 * n or len(vk) != 2 * n:
-                raise StructureError("table entries must be 2n bits wide")
         self.n = n
         self.lm = lm
-        self.table = dict(table)
-        self.preimages: dict[str, list[tuple[str, str]]] = {}
-        for key, vk in table.items():
-            self.preimages.setdefault(vk, []).append((key[:n], key[n:]))
         # vk_codes[k]: the verification key's code at key code k = x || theta
-        self.vk_codes = _codes(table, 2 * n)
+        self.vk_codes = table_codes(table, 2 * n, 2 * n)
+
+    @functools.cached_property
+    def table(self) -> dict[str, str]:
+        """R as bit strings: x || theta -> vk."""
+        keys = bits(2 * self.n)
+        return dict(zip(keys, (keys[v] for v in self.vk_codes.tolist())))
+
+    @functools.cached_property
+    def preimages(self) -> dict[str, list[tuple[str, str]]]:
+        """vk -> its (x, theta) preimages, in key order."""
+        out: dict[str, list[tuple[str, str]]] = {}
+        for key, vk in self.table.items():
+            out.setdefault(vk, []).append((key[:self.n], key[self.n:]))
+        return out
 
     @functools.cached_property
     def law(self) -> np.ndarray:
@@ -339,25 +340,37 @@ class ToyCommitment:
     and checks the first bit of x.
     """
 
-    def __init__(self, n: int, c: int, table: dict[str, str]):
+    def __init__(self, n: int, c: int, table: np.ndarray):
         _check_qubits(n, 2, MAX_COM_QUBITS)
         if not 1 <= c < n:
             raise StructureError("compression must be 1..n-1")
-        if len(table) != 1 << (2 * n):
-            raise StructureError("table must cover every (x, theta)")
-        for key, y in table.items():
-            if len(key) != 2 * n or len(y) != n - c:
-                raise StructureError("table entry widths disagree")
         self.n = n
         self.c = c
-        self.table = dict(table)
-        # digest -> preimages, split by the committed bit x[0] = key[0]
-        self.classes: dict[str, tuple[list[str], list[str]]] = {}
-        for key, y in table.items():
-            pair = self.classes.setdefault(y, ([], []))
-            pair[int(key[0])].append(key)
         # digest_codes[k]: the digest's code at key code k
-        self.digest_codes = _codes(table, 2 * n)
+        self.digest_codes = table_codes(table, 2 * n, n - c)
+
+    @functools.cached_property
+    def table(self) -> dict[str, str]:
+        """R as bit strings: x || theta -> digest."""
+        digests = bits(self.digest_len)
+        return dict(zip(bits(2 * self.n),
+                        (digests[y] for y in self.digest_codes.tolist())))
+
+    @functools.cached_property
+    def classes(self) -> dict[str, tuple[list[str], list[str]]]:
+        """digest -> its preimages split by the committed bit x[0], as bit
+        strings, digests in the order of their first key."""
+        out: dict[str, tuple[list[str], list[str]]] = {}
+        for key, y in self.table.items():
+            out.setdefault(y, ([], []))[int(key[0])].append(key)
+        return out
+
+    @functools.cached_property
+    def parity_counts(self) -> np.ndarray:
+        """counts[b, y]: the keys of committed bit b that hash to digest y.
+        The bit is the key code's top bit, so each half is one bincount."""
+        return np.stack([np.bincount(half, minlength=1 << self.digest_len)
+                         for half in self.digest_codes.reshape(2, -1)])
 
     @functools.cached_property
     def opens(self) -> np.ndarray:
@@ -373,15 +386,13 @@ class ToyCommitment:
         return self.n - self.c
 
     def preimage_list(self, y: str, b: int) -> list[str]:
-        if y not in self.classes:
-            return []
-        return self.classes[y][b]
+        return self.classes.get(y, ([], []))[b]
 
     def s1_law(self, b: int) -> FiniteDist:
         half = 1 << (2 * self.n - 1)
-        probs = {y: len(pair[b]) / half
-                 for y, pair in self.classes.items() if pair[b]}
-        return FiniteDist(probs)
+        return FiniteDist.from_codes(self.digest_len,
+                                     np.arange(1 << self.digest_len),
+                                     self.parity_counts[b] / half)
 
     def s1(self, b: int, rng: np.random.Generator) -> tuple[str, list[str]]:
         """Commit: returns the digest and the residual preimage support."""
@@ -409,7 +420,7 @@ def toy_commitment(n: int, c: int, rng: np.random.Generator) -> ToyCommitment:
     return ToyCommitment(n, c, random_function_table(rng, 2 * n, n - c))
 
 
-def balanced_table(n: int, c: int) -> dict[str, str]:
+def balanced_table(n: int, c: int) -> np.ndarray:
     """A deterministic table whose digest classes are parity-balanced or
     single-parity.
 
@@ -423,27 +434,21 @@ def balanced_table(n: int, c: int) -> dict[str, str]:
     _check_qubits(n, 2, MAX_COM_QUBITS)
     if not 1 <= c < n:
         raise StructureError("compression must be 1..n-1")
-    digests = bits(n - c)
-    if len(digests) < 3:
+    digests = 1 << (n - c)
+    if digests < 3:
         raise StructureError("need at least 4 digest values to pin two "
                              "single-parity classes")
     half = 1 << (2 * n - 1)
-    spread = len(digests) - 2
+    spread = digests - 2
     per = (half - 2) // spread
     if per * spread != half - 2:
         raise StructureError(
             f"half size {half} minus 2 must split evenly over {spread} "
             f"balanced classes")
-    zeros = [k for k in bits(2 * n) if k[0] == "0"]
-    ones = [k for k in bits(2 * n) if k[0] == "1"]
-    table = {}
-    table[zeros[0]] = table[zeros[1]] = digests[-2]
-    table[ones[0]] = table[ones[1]] = digests[-1]
-    for i, key in enumerate(zeros[2:]):
-        table[key] = digests[i // per]
-    for i, key in enumerate(ones[2:]):
-        table[key] = digests[i // per]
-    return table
+    # each half (bit 0, then bit 1) opens with its two single-parity keys
+    balanced = np.arange(half - 2) // per
+    return np.concatenate(([digests - 2] * 2, balanced,
+                           [digests - 1] * 2, balanced))
 
 
 def com_to_dcrpuzz(com: ToyCommitment, form: str) -> DcrScheme:
@@ -485,7 +490,7 @@ def _com_law(com: ToyCommitment, amps: np.ndarray) -> np.ndarray:
 def both_parity_mass(com: ToyCommitment, form: str = "coherent") -> float:
     """Probability that the sampled digest has preimages of both parities."""
     law = _com_law(com, _com_state(com, form))
-    both = com.opens.reshape(len(law), 2, -1).any(axis=2).all(axis=1)
+    both = (com.parity_counts > 0).all(axis=0)
     return float(law[both].sum())
 
 

@@ -438,3 +438,22 @@ def test_unreadable_scheme_files_are_input_errors(tmp_path, capsys):
     assert run(["run-dcr", "--scheme", str(ref)], str(out)) == 3
     assert str(tmp_path / "ghost.json") in _one_line_error(capsys)
     assert not out.exists()
+
+
+def test_unwritable_out_is_refused_before_the_run(tmp_path, monkeypatch,
+                                                  capsys):
+    def never(*args):
+        raise AssertionError("the tables were built for an unwritable --out")
+
+    monkeypatch.setattr(cli, "toy_mac", never)
+    out = tmp_path / "missing" / "x.json"
+    assert run(["run-reduction", "--primitive", "mac", "--params",
+                "n=5,lm=5", "--seed", "1"], str(out)) == 3
+    assert f"cannot write {out}" in _one_line_error(capsys)
+    assert not out.parent.exists()
+    # a report path under a file is refused the same way
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    assert run(["run-reduction", "--primitive", "mac", "--seed", "1"],
+               str(plain / "x.json")) == 3
+    assert "cannot write" in _one_line_error(capsys)

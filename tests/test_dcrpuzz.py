@@ -210,15 +210,13 @@ def test_multi_pp_advantage_averages():
 # -- function schemes --------------------------------------------------------------
 
 def test_parity_function_collisions():
-    table = {"00": "0", "01": "1", "10": "1", "11": "0"}
-    scheme = function_scheme(table, 2, 1)
+    scheme = function_scheme(np.array([0, 1, 1, 0]), 2, 1)
     assert distinct_answer_prob(scheme, "") == pytest.approx(0.5, abs=1e-12)
     assert col_oracle_gap(scheme, "") <= 1e-12
 
 
 def test_constant_function_collisions():
-    table = {format(i, "02b"): "0" for i in range(4)}
-    scheme = function_scheme(table, 2, 1)
+    scheme = function_scheme(np.zeros(4, dtype=np.int64), 2, 1)
     assert distinct_answer_prob(scheme, "") == pytest.approx(0.75, abs=1e-12)
 
 
@@ -229,16 +227,17 @@ def test_distinct_preimage_probability_against_brute_force(seed):
     scheme = function_scheme(table, 3, 2)
     # independent route: enumerate ordered preimage pairs directly
     from collections import Counter
-    sizes = Counter(table.values())
+    sizes = Counter(table.tolist())
     brute = 1.0 - sum(count / 8 * (1 / count) for count in sizes.values())
     assert distinct_answer_prob(scheme, "") == pytest.approx(brute, abs=1e-12)
 
 
 def test_function_table_validation():
+    # too few inputs, then an image wider than the puzzle register
     with pytest.raises(StructureError):
-        function_scheme({"00": "0"}, 2, 1)
+        function_scheme(np.zeros(1, dtype=np.int64), 2, 1)
     with pytest.raises(StructureError):
-        function_scheme({"00": "00", "01": "0", "10": "0", "11": "0"}, 2, 1)
+        function_scheme(np.array([2, 0, 0, 0]), 2, 1)
 
 
 # -- construction and serialization -------------------------------------------------

@@ -49,7 +49,7 @@ from ncmlab.qsim import Circuit, Gate, Step, enumerate_branches
 
 
 def identity_mac(n: int, lm: int) -> ToyMac:
-    return ToyMac(n, lm, {k: k for k in bits(2 * n)})
+    return ToyMac(n, lm, np.arange(1 << (2 * n)))
 
 
 # -- signing: measurement law -----------------------------------------------------
@@ -116,13 +116,21 @@ def test_ver_rejects_flipped_matching_position():
 
 def test_mac_constructor_validation():
     with pytest.raises(StructureError):
-        ToyMac(0, 1, {})
+        ToyMac(0, 1, np.zeros(1, dtype=np.int64))
     with pytest.raises(StructureError):
-        ToyMac(2, 3, {k: k for k in bits(4)})
+        ToyMac(2, 3, np.arange(16))
+    # a table that misses keys, and one that is not one code per key
     with pytest.raises(StructureError):
-        ToyMac(2, 2, {k: k for k in bits(3)})
+        ToyMac(2, 2, np.arange(8))
     with pytest.raises(StructureError):
-        ToyMac(2, 2, {k: k[:3] for k in bits(4)})
+        ToyMac(2, 2, np.arange(16).reshape(4, 4))
+    # values past 2n bits, negative, or not integer codes
+    with pytest.raises(StructureError):
+        ToyMac(2, 2, np.arange(1, 17))
+    with pytest.raises(StructureError):
+        ToyMac(2, 2, -np.arange(16))
+    with pytest.raises(StructureError):
+        ToyMac(2, 2, np.arange(16) * 1.0)
 
 
 # -- signing: the collision attack ---------------------------------------------------
@@ -170,7 +178,7 @@ def test_reference_sampler_law_equals_collisions():
 
 
 def test_reference_sampler_retries():
-    constant = ToyMac(2, 1, {k: "0000" for k in bits(4)})
+    constant = ToyMac(2, 1, np.zeros(16, dtype=np.int64))
     rng = np.random.default_rng(37)
     for _ in range(20):
         *_, retries = algorithm_c_mac(constant, rng)
@@ -213,15 +221,11 @@ CRAFTED = ToyCommitment(3, 1, balanced_table(3, 1))
 
 def test_balanced_table_shape():
     table = balanced_table(3, 1)
-    assert len(table) == 64
-    sizes = {}
-    split = {}
-    for key, y in table.items():
-        sizes[y] = sizes.get(y, 0) + 1
-        split.setdefault(y, [0, 0])[int(key[0])] += 1
-    assert sizes == {"00": 30, "01": 30, "10": 2, "11": 2}
-    assert split["00"] == [15, 15] and split["01"] == [15, 15]
-    assert split["10"] == [2, 0] and split["11"] == [0, 2]
+    assert table.shape == (64,) and table.dtype == np.int64
+    # digest codes 0..3 are "00".."11"; keys 0..31 commit to 0, 32..63 to 1
+    assert np.bincount(table).tolist() == [30, 30, 2, 2]
+    assert np.bincount(table[:32], minlength=4).tolist() == [15, 15, 2, 0]
+    assert np.bincount(table[32:], minlength=4).tolist() == [15, 15, 0, 2]
     with pytest.raises(StructureError):
         balanced_table(2, 1)  # only two digests, nothing left to balance
 
@@ -254,11 +258,14 @@ def test_receiver_rejects_garbage():
 
 def test_commitment_constructor_validation():
     with pytest.raises(StructureError):
-        ToyCommitment(1, 1, {})
+        ToyCommitment(1, 1, np.zeros(4, dtype=np.int64))
     with pytest.raises(StructureError):
         ToyCommitment(3, 3, balanced_table(3, 1))
+    # a table that misses keys, and digests wider than n - c bits
     with pytest.raises(StructureError):
-        ToyCommitment(3, 1, {"00": "00"})
+        ToyCommitment(3, 1, np.zeros(1, dtype=np.int64))
+    with pytest.raises(StructureError):
+        ToyCommitment(3, 1, np.full(64, 4))
 
 
 def test_random_table_correctness():
@@ -374,8 +381,7 @@ def test_double_opener_coherent_succeeds_on_both_parity_digests():
 def test_double_opener_raises_on_single_parity_digests():
     # a table whose digest is the committed bit itself: conditioning the
     # superposed sender on (digest, bit 1) is impossible for digest 0
-    table = {k: k[0] for k in bits(4)}
-    com = ToyCommitment(2, 1, table)
+    com = ToyCommitment(2, 1, np.arange(16) >> 3)
     rng = np.random.default_rng(44)
     with pytest.raises(ImpossibleConditionError):
         for _ in range(10):
