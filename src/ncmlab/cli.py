@@ -459,6 +459,8 @@ def main(argv=None) -> int:
         # a report that cannot be written is refused before the run
         if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise ParseError(f"cannot write {args.out}: no such directory")
+        if args.out and os.path.isdir(args.out):
+            raise ParseError(f"cannot write {args.out}: is a directory")
         report = args.fn(args)
         _emit(report, args.out)
     except (ParseError, StructureError, ProtocolError,

@@ -298,10 +298,7 @@ class EmpiricalDist:
     def to_dist(self) -> FiniteDist:
         length = self.rows.shape[1] * self.width
         _check_cap(length)
-        codes = np.zeros(len(self.rows), dtype=np.int64)
-        for field in self.rows.T.astype(np.int64):
-            codes = (codes << self.width) | field
-        return FiniteDist.from_codes(length, codes,
+        return FiniteDist.from_codes(length, _join(self.rows, self.width),
                                      self.sizes / self.shots)
 
     def to_json(self) -> dict:
@@ -341,13 +338,23 @@ def empirical(samples: Iterable[str]) -> EmpiricalDist:
     return empirical_codes(codes[:, None], width)
 
 
+def _join(rows: np.ndarray, width: int) -> np.ndarray:
+    """Each row's ``width``-bit fields as one int64 code, high field first."""
+    codes = rows[:, 0].astype(np.int64)
+    for field in rows.T[1:]:
+        codes <<= width
+        codes |= field.astype(np.int64)
+    return codes
+
+
 def empirical_codes(rows: np.ndarray, width: int) -> EmpiricalDist:
     """Counts of integer-coded samples: every counter of samples ends here.
 
     Row i is sample i; each column holds a ``width``-bit field, and the
-    sample's code is the fields joined in column order. One lexsort over
-    the columns groups equal rows into ascending distinct rows, so the
-    counts equal ``empirical`` of the per-sample strings.
+    sample's code is the fields joined in column order. Rows that fit
+    MAX_CODE_BITS are sorted as joined codes (ascending codes are ascending
+    rows) and split back into fields of the input dtype; wider rows take a
+    lexsort over the columns. The counts equal ``empirical`` of the strings.
     """
     rows = np.asarray(rows)
     if rows.ndim != 2 or rows.shape[1] == 0:
@@ -355,13 +362,21 @@ def empirical_codes(rows: np.ndarray, width: int) -> EmpiricalDist:
             f"expected a (samples, fields) array, got shape {rows.shape}")
     if rows.dtype.kind not in "iu":
         raise StructureError(f"expected integer codes, got {rows.dtype}")
-    shots = rows.shape[0]
+    shots, k = rows.shape
     if shots == 0:
         raise StructureError("no samples")
     if width < 1 or rows.min() < 0 or int(rows.max()) >> width:
         raise StructureError(f"codes do not fit in {width}-bit fields")
-    ordered = rows[np.lexsort(rows.T[::-1])]
-    starts = np.flatnonzero(np.concatenate(
-        ([True], (ordered[1:] != ordered[:-1]).any(axis=1))))
-    return EmpiricalDist(ordered[starts], np.diff(np.append(starts, shots)),
+    if k * width <= MAX_CODE_BITS:
+        ordered = np.sort(_join(rows, width))
+        changed = ordered[1:] != ordered[:-1]
+    else:
+        ordered = rows[np.lexsort(rows.T[::-1])]
+        changed = (ordered[1:] != ordered[:-1]).any(axis=1)
+    starts = np.flatnonzero(np.concatenate(([True], changed)))
+    distinct = ordered[starts]
+    if distinct.ndim == 1:  # split the codes back into fields
+        distinct = (distinct[:, None] >> width * np.arange(k)[::-1]
+                    & (1 << width) - 1).astype(rows.dtype)
+    return EmpiricalDist(distinct, np.diff(np.append(starts, shots)),
                          width, shots)

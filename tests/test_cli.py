@@ -457,3 +457,16 @@ def test_unwritable_out_is_refused_before_the_run(tmp_path, monkeypatch,
     assert run(["run-reduction", "--primitive", "mac", "--seed", "1"],
                str(plain / "x.json")) == 3
     assert "cannot write" in _one_line_error(capsys)
+
+
+def test_out_naming_a_directory_is_refused_before_the_run(
+        bell_file, tmp_path, monkeypatch, capsys):
+    def never(args):
+        raise AssertionError("the subcommand ran for an unwritable --out")
+
+    monkeypatch.setattr(cli, "_cmd_run_oracle", never)
+    # a fresh parser binds the patched subcommand
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert run(["run-oracle", "--circuit", bell_file, "--mode", "sample",
+                "--seed", "1"], str(tmp_path)) == 3
+    assert f"cannot write {tmp_path}" in _one_line_error(capsys)

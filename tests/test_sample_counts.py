@@ -1,5 +1,6 @@
-"""Sampled counts held as codes: the cap at the code width, and the
-sampled ``run-dcr`` report against counts made independently here."""
+"""Sampled counts held as codes: the cap at the code width, the packed
+counter against a lexsort over the columns, and the sampled ``run-oracle``
+and ``run-dcr`` reports against counts made independently here."""
 
 import json
 
@@ -24,6 +25,8 @@ from ncmlab.dist import (
     sd,
 )
 from ncmlab.errors import InstanceTooLargeError, StructureError
+from ncmlab.ncmo import oracle_exact, oracle_read_codes
+from ncmlab.qsim import circuit_to_json, random_circuit
 
 
 def test_empirical_past_the_code_cap_is_too_large():
@@ -62,6 +65,97 @@ def test_counts_join_fields_high_first():
     law = emp.to_dist()
     assert law.codes.tolist() == [0b0011, 0b0110]
     assert law.weights.tolist() == [1 / 3, 2 / 3]
+
+
+def _lexsort_counts(rows):
+    """Reference counter: distinct rows by one lexsort over the columns."""
+    ordered = rows[np.lexsort(rows.T[::-1])]
+    starts = np.flatnonzero(np.concatenate(
+        ([True], (ordered[1:] != ordered[:-1]).any(axis=1))))
+    return ordered[starts], np.diff(np.append(starts, len(rows)))
+
+
+def _assert_counts_match(rows, width):
+    emp = empirical_codes(rows, width)
+    want_rows, want_sizes = _lexsort_counts(rows)
+    assert emp.rows.dtype == rows.dtype
+    assert np.array_equal(emp.rows, want_rows)
+    assert emp.sizes.tolist() == want_sizes.tolist()
+    assert emp.shots == len(rows) and emp.width == width
+    fmt = f"0{width}b"
+    assert emp.counts == {"".join(format(v, fmt) for v in row): int(c)
+                          for row, c in zip(want_rows.tolist(), want_sizes)}
+
+
+DTYPES = (np.uint16, np.int32, np.int64, np.uint64)
+# (fields, width): k * width of 61 to 64 straddles the one-word boundary
+SHAPES = ((61, 1), (62, 1), (63, 1), (64, 1), (5, 12), (6, 12), (1, 31),
+          (2, 31), (3, 21), (2, 32), (1, 62), (1, 64))
+# each dtype with every width whose largest field it holds
+CASES = [(k, w, dt) for k, w in SHAPES for dt in DTYPES
+         if np.iinfo(dt).max >= (1 << w) - 1]
+
+
+@pytest.mark.parametrize("k,width,dtype", CASES,
+                         ids=[f"{k}x{w}-{np.dtype(dt).name}"
+                              for k, w, dt in CASES])
+def test_packed_counts_match_the_lexsort(k, width, dtype):
+    rng = np.random.default_rng([k, width, np.dtype(dtype).itemsize])
+    top = (1 << width) - 1
+    for _ in range(4):
+        distinct = rng.integers(0, top, (int(rng.integers(1, 12)), k),
+                                dtype=dtype, endpoint=True)
+        distinct[0] = top  # a row of fields at 2**width - 1
+        rows = distinct[rng.integers(0, len(distinct), 400)]
+        _assert_counts_match(rows, width)
+        if k * width <= MAX_CODE_BITS:
+            emp = empirical_codes(rows, width)
+            assert emp.to_dist().support == list(emp.counts)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("k,width", ((3, 12), (1, 12), (2, 31)))
+def test_packed_counts_edge_rows(dtype, k, width):
+    top = min((1 << width) - 1, int(np.iinfo(dtype).max))
+    single = np.full((1, k), top, dtype=dtype)
+    _assert_counts_match(single, width)
+    equal = np.full((50, k), top // 3, dtype=dtype)
+    _assert_counts_match(equal, width)
+    assert empirical_codes(equal, width).sizes.tolist() == [50]
+    corners = np.array([[top] * k, [0] * k, [top] * k], dtype=dtype)
+    _assert_counts_match(corners, width)
+
+
+def test_run_oracle_sample_report_counts_the_oracle_reads(tmp_path):
+    shots, seed = 3000, 9
+    rng = np.random.default_rng(10)
+    circuit = random_circuit(rng, max_qubits=3)
+    while circuit.depth != 3 or circuit.qubits != 3:
+        circuit = random_circuit(rng, max_qubits=3)
+    exact = oracle_exact(circuit)
+    assert len(exact) == 16
+    path, out = tmp_path / "circuit.json", tmp_path / "sample.json"
+    path.write_text(json.dumps(circuit_to_json(circuit)))
+    assert cli.main(["run-oracle", "--circuit", str(path), "--mode",
+                     "sample", "--shots", str(shots), "--seed", str(seed),
+                     "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    reads = oracle_read_codes(circuit, shots, np.random.default_rng(seed))
+    rows, counts = np.unique(reads, axis=0, return_counts=True)
+    n, steps = circuit.qubits, circuit.depth
+    fmt = f"0{n}b"
+    assert report["payload"]["empirical"] == {
+        "length": n * steps,
+        "probs": {"".join(format(v, fmt) for v in row): c / shots
+                  for row, c in zip(rows.tolist(), counts.tolist())}}
+    codes = [sum(v << n * (steps - 1 - j) for j, v in enumerate(row))
+             for row in rows.tolist()]
+    value = sd(FiniteDist.from_codes(n * steps, np.array(codes),
+                                     counts / shots), exact)
+    tol = 5.0 * (len(exact) / shots) ** 0.5
+    assert report["checks"] == [{
+        "name": f"oracle/sampling-tv[{shots} shots]",
+        "value": value, "tolerance": tol, "pass": value <= tol}]
 
 
 def _schemes(tmp_path):
