@@ -29,13 +29,13 @@ from .errors import InstanceTooLargeError, ParseError, StructureError
 from .ncmo import oracle_exact, oracle_sample
 from .qsim import (
     MAX_QUBITS,
-    READOUT_PRUNE_TOL,
     Circuit,
     Gate,
     Step,
     _json_int,
     _json_number,
     apply_step_unitary,
+    born_weights,
     check_bytes,
     circuit_from_json,
     circuit_to_json,
@@ -47,16 +47,6 @@ MAX_COL_SUPPORT = 1 << 20
 # bytes a ColSampler draw may hold per trial, against qsim.MAX_TREE_BYTES:
 # a whole mac or commitment game measured about 126
 DRAW_BYTES_PER_TRIAL = 192
-
-
-def born_weights(amps: np.ndarray) -> np.ndarray:
-    """Born weights of an amplitude vector, with every weight at or below
-    READOUT_PRUNE_TOL set to zero: the atoms of a state-backed sampler law."""
-    # the same roundings as the scalar (a.conjugate() * a).real; numpy's
-    # vectorized complex product differs in the last bit on complex entries
-    born = amps.real * amps.real + amps.imag * amps.imag
-    born[born <= READOUT_PRUNE_TOL] = 0.0
-    return born
 
 
 @dataclass(frozen=True)
@@ -104,7 +94,8 @@ class DcrScheme:
                 raise StructureError(
                     f"state for pp {pp!r} has {amps.shape} amplitudes, "
                     f"register layout wants {1 << self.qubits}")
-            if abs(np.vdot(amps, amps).real - 1.0) > 1e-9:
+            # written so that a NaN norm fails
+            if not abs(np.vdot(amps, amps).real - 1.0) <= 1e-9:
                 raise StructureError(f"state for pp {pp!r} is not normalized")
             derived = self._law_of_state(amps)
             declared = self._samp_laws.get(pp)
@@ -228,29 +219,12 @@ class ColSampler:
 
     def __init__(self, scheme: DcrScheme, pp: str):
         law, a = scheme.samp_law(pp), scheme.ans_len
-        self._setup(law.codes >> a, law.codes & ((1 << a) - 1), law.weights)
-
-    @classmethod
-    def from_table(cls, table: np.ndarray) -> "ColSampler":
-        """Sampler of a dense law: ``table[puzz, ans]`` is the joint mass
-        at those register codes, and zero entries are not atoms."""
-        if table.ndim != 2:
-            raise StructureError(
-                f"law table must be (puzzles, answers), not {table.shape}")
-        self = cls.__new__(cls)
-        rows, cols = np.nonzero(table > 0.0)
-        self._setup(rows, cols, table[rows, cols])
-        return self
-
-    def _setup(self, rows: np.ndarray, cols: np.ndarray, w: np.ndarray):
-        """rows, cols: atom coordinates in (row, col) order; w: masses."""
-        if len(w) == 0:
-            raise StructureError("sampler law has empty support")
+        rows, w = law.codes >> a, law.weights
         self._starts = np.flatnonzero(np.concatenate(
             ([True], rows[1:] != rows[:-1])))
         self._ends = np.append(self._starts[1:], len(w))
         self._puzz = rows[self._starts]
-        self._cols = cols
+        self._cols = law.codes & ((1 << a) - 1)
         # per-row masses and conditional cumsums, both summed left to
         # right, the order of the scalar sampler's Python sums; rows of
         # one length are one block

@@ -10,22 +10,24 @@ factors over the collapsing branch:
 
 so reads are conditionally independent given the branch, and v_t always
 begins with u_t. ``oracle_exact`` materializes that law; ``oracle_sample``
-draws from it by direct simulation (``qsim.walk`` for the collapses,
-``qsim.draw_readout`` for each read); ``oracle_read_codes`` draws many calls
-at once, one ``qsim`` kernel pass per step, and returns their readouts as
-basis indices, which ``dist.empirical_codes`` counts without a string per shot
-(``oracle_sample_many`` formats the same draws as bit strings). Its draw
-order, per shot group and step: one ``multinomial`` for the collapse, then
-one ``rng.random(size)`` for all of the group's reads, each child's share
-inverted through that child's readout cdf the way ``Generator.choice`` does
-it; that is the stream of one ``choice`` call per child, so seeded reads are
-unchanged. When the circuit's branch tree is already built
-(``qsim.cached_levels``), the shot groups walk it: each split draws from
-the level's ``cond`` row and each child's block is the level's, so no state
-is evolved again. Without a built tree (sample-only callers, circuits over
-a guard), or from the step where a drawn outcome has no node because the
-tree pruned it, the groups evolve their parents' blocks with the ``qsim``
-kernel instead; the values, and so the draws, are the same either way.
+draws from it by direct simulation (``qsim.walk`` for the collapses, one
+``qsim.readout_dist(...).sample`` for each read); ``oracle_read_codes`` draws
+many calls at once, one ``qsim`` kernel pass per step, and returns their
+readouts as basis indices, which ``dist.empirical_codes`` counts without a
+string per shot (``oracle_sample_many`` formats the same draws as bit
+strings). Every read, drawn or exact, takes its weights from
+``qsim.born_weights``. The batched draw order, per shot group and step:
+one ``multinomial`` for the collapse, then one ``rng.random(size)`` for all
+of the group's reads, each child's share inverted through that child's
+readout cdf the way ``Generator.choice`` does it; that is the stream of one
+``choice`` call per child, so seeded reads are unchanged. When the
+circuit's branch tree is already built (``qsim.cached_levels``), the shot
+groups walk it: each split draws from the level's ``cond`` row and each
+child's block is the level's, so no state is evolved again. Without a
+built tree (sample-only callers, circuits over a guard), or from the step
+where a drawn outcome has no node because the tree pruned it, the groups
+evolve their parents' blocks with the ``qsim`` kernel instead; the values,
+and so the draws, are the same either way.
 ``q_t``, ``q1`` and ``q2`` expose the partial views used by the puzzle
 constructions.
 
@@ -65,18 +67,18 @@ from .errors import (
     StructureError,
 )
 from .qsim import (
-    READOUT_PRUNE_TOL,
     BranchTree,
     Circuit,
     Level,
     apply_step_unitary,
+    born_weights,
     cached_levels,
     check_bytes,
-    draw_readout,
     enumerate_branches,
     initial_state,
     outcome_probs,
     project,
+    readout_dist,
     run_prefix,
     walk,
     widen,
@@ -106,7 +108,7 @@ def oracle_sample(circuit: Circuit, rng: np.random.Generator) -> OracleOutput:
     """
     reads = []
     for u, state in walk(circuit, rng):
-        v = draw_readout(state, circuit.qubits, rng)
+        v = readout_dist(state, circuit.qubits).sample(rng)
         if not v.startswith(u):
             raise RuntimeError("readout disagrees with its branch")
         reads.append(v)
@@ -115,7 +117,7 @@ def oracle_sample(circuit: Circuit, rng: np.random.Generator) -> OracleOutput:
 
 def _readout_cdfs(states: np.ndarray) -> np.ndarray:
     """Per stacked state or block, the cdf ``Generator.choice`` builds from
-    its Born atoms above READOUT_PRUNE_TOL, spread over the row's width.
+    its Born atoms (``qsim.born_weights``), spread over the row's width.
 
     As in ``choice(len(w), p=w / w.sum())``: w is summed as a 1-D array,
     p = w / sum, cdf = p.cumsum(), cdf /= cdf[-1]. A pruned entry is 0,
@@ -124,8 +126,8 @@ def _readout_cdfs(states: np.ndarray) -> np.ndarray:
     atoms. A state with no atom, or with a sum that is not finite, raises
     instead of giving a NaN cdf.
     """
-    born = np.abs(states) ** 2
-    keep = born > READOUT_PRUNE_TOL
+    born = born_weights(states)
+    keep = born > 0.0
     atoms = born[keep]
     total = np.empty(len(born))
     for rows, at in ragged_blocks(keep.sum(axis=1)):
@@ -135,7 +137,6 @@ def _readout_cdfs(states: np.ndarray) -> np.ndarray:
         raise RuntimeError(
             f"stacked state {int(bad[0])} has no finite readout mass above "
             f"the prune tolerance (sum {total[bad[0]]!r})")
-    born[~keep] = 0.0
     born /= total[:, None]
     cdf = np.cumsum(born, axis=1, out=born)
     cdf /= cdf[:, -1:]
@@ -190,8 +191,7 @@ def oracle_read_codes(circuit: Circuit, shots: int,
         parents, outcomes, counts, uniforms = [], [], [], []
         for g, size in enumerate(sizes):
             if m:
-                probs = np.clip(cond[g], 0.0, None)
-                split = rng.multinomial(size, probs / probs.sum())
+                split = rng.multinomial(size, cond[g] / cond[g].sum())
                 idx = np.flatnonzero(split)
                 parents.extend([g] * len(idx))
                 outcomes.extend(idx.tolist())
@@ -333,7 +333,7 @@ def q_t(circuit: Circuit, t: int,
     """Sample (tau_t, w_t): run t steps, read out, strip the u_t prefix."""
     _check_step_index(circuit, t)
     tau, state = run_prefix(circuit, t, rng)
-    return tau, draw_readout(state, circuit.qubits, rng)[len(tau[-1]):]
+    return tau, readout_dist(state, circuit.qubits).sample(rng)[len(tau[-1]):]
 
 
 def _tau_law(circuit: Circuit, t: int, rows: np.ndarray,
@@ -446,7 +446,7 @@ def q2(circuit: Circuit, tau: Transcript, rng: np.random.Generator,
     if policy != "exact":
         raise StructureError(f"unknown policy {policy!r}")
     nodes = enumerate_branches(circuit).path(tuple(tau))
-    return tuple(draw_readout(node.state, circuit.qubits, rng)[len(u):]
+    return tuple(node.readout.sample(rng)[len(u):]
                  for node, u in zip(nodes, tau))
 
 

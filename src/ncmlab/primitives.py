@@ -46,9 +46,10 @@ from .errors import (
     RetryBudgetExceededError,
     StructureError,
 )
-from .dcrpuzz import (ColSampler, DcrScheme, born_weights,
-                      random_function_table, table_codes)
+from .dcrpuzz import (ColSampler, DcrScheme, random_function_table,
+                      table_codes)
 from .ncmo import DEFAULT_RETRY_BUDGET
+from .qsim import born_weights
 
 MAX_MAC_QUBITS = 6
 MAX_COM_QUBITS = 4
@@ -262,9 +263,8 @@ def mac_break_via_collision(mac: ToyMac, trials: int,
     if source not in ("col", "duplicate"):
         raise StructureError(f"unknown collision source {source!r}")
     lm = mac.lm
-    law = mac.law.reshape(len(mac.law), -1)
-    ok = mac.accepts.reshape(law.shape)
-    vk, ans, ans2 = ColSampler.from_table(law).draw(rng, trials)
+    ok = mac.accepts.reshape(len(mac.accepts), -1)
+    vk, ans, ans2 = ColSampler(mac_to_dcrpuzz(mac), "").draw(rng, trials)
     if source == "duplicate":
         ans2 = ans
     wins = ((ans >> lm) != (ans2 >> lm)) & ok[vk, ans] & ok[vk, ans2]
@@ -518,8 +518,7 @@ def com_break_via_collision(com: ToyCommitment, trials: int,
         raise StructureError(f"unknown collision source {source!r}")
     scheme = com_to_dcrpuzz(com, form)
     half = 2 * com.n
-    law = _com_law(com, scheme.state(""))
-    y, ans, ans2 = ColSampler.from_table(law).draw(rng, trials)
+    y, ans, ans2 = ColSampler(scheme, "").draw(rng, trials)
     if source == "duplicate":
         ans2 = ans
     ok = com.opens

@@ -60,7 +60,7 @@ from .ncmo import (
     run_session,
     session_law,
 )
-from .qsim import Circuit, Level, draw_readout, enumerate_branches, walk
+from .qsim import Circuit, Level, enumerate_branches, readout_dist, walk
 
 T_FIELD_BITS = 8
 
@@ -217,7 +217,7 @@ def hybrid_b(k: int, x: str, circuit: Circuit, adv: StepAdversary,
     for i, (u, state) in enumerate(walk(circuit, rng), start=1):
         tau = tau + (u,)
         if i <= k:
-            reads.append(draw_readout(state, circuit.qubits, rng))
+            reads.append(readout_dist(state, circuit.qubits).sample(rng))
         else:
             reads.append(u + adv.guess(x, circuit, i, tau, rng))
     return OracleOutput(reads=tuple(reads))

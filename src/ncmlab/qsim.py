@@ -24,9 +24,11 @@ read. ``cached_levels`` gives a circuit's levels only if they are built
 already. Before a build, NCMO_MAX_BRANCHES caps the paths and
 MAX_TREE_BYTES the bytes of states and ``cond`` rows
 (``tree_byte_bound``); ``check_bytes`` holds the samplers' arrays to the
-same cap. ``walk`` runs the kernel on a
-one-row stack for single shots, and ``draw_readout`` makes one full-width
-read of a state.
+same cap. ``walk`` runs the kernel on a one-row stack for single shots.
+Every non-collapsing read takes its weights from ``born_weights``, the one
+place READOUT_PRUNE_TOL is applied: ``readout_dist`` (a state's law, whose
+``sample`` is the single-shot draw), ``Level.atoms`` (the exact folds), the
+batched sampler's cdfs and the state laws of ``dcrpuzz``.
 """
 
 from __future__ import annotations
@@ -85,8 +87,10 @@ def _check_unitary(mat: np.ndarray, what: str) -> np.ndarray:
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise StructureError(f"{what} is not square: shape {mat.shape}")
-    err = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
-    if err > UNITARY_TOL:
+    # huge entries overflow to a NaN defect, which fails too
+    with np.errstate(all="ignore"):
+        err = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
+    if not err <= UNITARY_TOL:
         raise StructureError(f"{what} is not unitary (defect {err:.3g})")
     return mat
 
@@ -170,8 +174,9 @@ class Circuit:
             if amps is None or amps.shape != (1 << n,):
                 raise StructureError(
                     f"step {t}: prep vector must have length {1 << n}")
-            norm = float(np.vdot(amps, amps).real)
-            if abs(norm - 1.0) > UNITARY_TOL:
+            with np.errstate(all="ignore"):
+                norm = float(np.vdot(amps, amps).real)
+            if not abs(norm - 1.0) <= UNITARY_TOL:  # a NaN norm fails
                 raise StructureError(
                     f"step {t}: prep vector norm {norm:.9f} is not 1")
         else:
@@ -312,21 +317,21 @@ def widen(blocks: np.ndarray, m: int, outcomes) -> np.ndarray:
     return full.reshape(len(blocks), -1)
 
 
+def born_weights(amps: np.ndarray) -> np.ndarray:
+    """The Born weights of a non-collapsing read, of a state, a stack or
+    blocks alike: ``|amps|^2`` with every weight not above
+    READOUT_PRUNE_TOL (a NaN too) set to zero. The one read rule: every
+    readout law and draw takes its atoms from here."""
+    born = np.abs(amps) ** 2
+    np.putmask(born, ~(born > READOUT_PRUNE_TOL), 0.0)
+    return born
+
+
 def readout_dist(amps: np.ndarray, n: int) -> FiniteDist:
     """Full-width Born readout law of a state, tiny weights pruned."""
-    probs = np.abs(amps) ** 2
-    atoms = np.flatnonzero(probs > READOUT_PRUNE_TOL)
+    probs = born_weights(amps)
+    atoms = np.flatnonzero(probs)
     return FiniteDist.from_codes(n, atoms, probs[atoms])
-
-
-def draw_readout(amps: np.ndarray, n: int, rng: np.random.Generator) -> str:
-    """One full-width Born readout of a state: the same draw as
-    ``readout_dist(amps, n).sample(rng)``, without building the law."""
-    born = np.abs(amps) ** 2
-    support = np.flatnonzero(born > READOUT_PRUNE_TOL)
-    cum = np.cumsum(born[support])
-    idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-    return format(int(support[min(idx, len(support) - 1)]), f"0{n}b")
 
 
 # -- branch enumeration -------------------------------------------------------
@@ -417,11 +422,11 @@ class Level:
         return tuple(reversed(out))
 
     def atoms(self, rows=slice(None)) -> tuple[np.ndarray, ...]:
-        """The Born atoms above READOUT_PRUNE_TOL of the blocks ``rows``
-        (all by default): (rows, columns, weights), row-major. A block's
-        column is its read's suffix, the last n - m_d bits."""
-        born = np.abs(self.blocks[rows]) ** 2
-        at, cols = np.nonzero(born > READOUT_PRUNE_TOL)
+        """The Born atoms (``born_weights``) of the blocks ``rows`` (all by
+        default): (rows, columns, weights), row-major. A block's column is
+        its read's suffix, the last n - m_d bits."""
+        born = born_weights(self.blocks[rows])
+        at, cols = np.nonzero(born)
         return at, cols, born[at, cols]
 
     def codes(self, rows: np.ndarray, suffixes: np.ndarray) -> np.ndarray:
@@ -586,8 +591,7 @@ def walk(circuit: Circuit, rng: np.random.Generator, t: int | None = None):
         states = apply_step_unitary(states, step, n)
         if m:
             cond = outcome_probs(states, m, n)
-            probs = np.clip(cond[0], 0.0, None)
-            idx = int(rng.choice(1 << m, p=probs / probs.sum()))
+            idx = int(rng.choice(1 << m, p=cond[0] / cond[0].sum()))
             states = widen(project(states, m, [0], [idx], cond), m, [idx])
             u = format(idx, f"0{m}b")
         yield u, states[0]

@@ -1,6 +1,7 @@
 """Exit codes, report shape, and byte determinism of the command line."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -324,6 +325,38 @@ def _one_line_error(capsys) -> str:
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
     return err
+
+
+# finite entries whose unitarity defect overflows to NaN
+HUGE_U1Q = {"name": "u1q", "targets": [0],
+            "matrix": [[[1e200, 1e200], [1e200, -1e200]],
+                       [[1e200, -1e200], [1e200, 1e200]]]}
+
+
+@pytest.mark.parametrize("command,measure", [
+    ("exact", 0), ("exact", 1), ("sample", 0), ("sample", 1),
+    ("check-hybrid", 1), ("run-dcr", 0)])
+def test_u1q_with_a_nan_defect_is_refused_before_the_run(command, measure,
+                                                         tmp_path, capsys):
+    (tmp_path / "huge.json").write_text(json.dumps(
+        {"qubits": 2, "steps": [{"gates": [HUGE_U1Q], "measure": measure}]}))
+    source = tmp_path / "source.json"
+    if command in ("exact", "sample"):
+        argv = ["run-oracle", "--circuit", str(tmp_path / "huge.json"),
+                "--mode", command, "--seed", "1"]
+    elif command == "check-hybrid":
+        source.write_text(json.dumps({"circuit": "huge.json", "x": "01"}))
+        argv = ["check-hybrid", "--instance", str(source)]
+    else:
+        source.write_text(json.dumps(_law_scheme(
+            source={"circuit": "huge.json", "puzz_register": 1})))
+        argv = ["run-dcr", "--scheme", str(source)]
+    out = tmp_path / "never.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv, str(out)) == 3
+    assert "u1q matrix is not unitary (defect nan)" in _one_line_error(capsys)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("adversary", ["rejection:abc", "rejection:-3",

@@ -13,15 +13,16 @@ import pytest
 
 from ncmlab.dcrpuzz import (
     ColSampler,
+    DcrScheme,
     random_function_table,
     random_law_scheme,
     segmented_search,
 )
 from ncmlab.dist import FiniteDist
 from ncmlab.primitives import (
-    _com_law,
-    _com_state,
     bits,
+    com_to_dcrpuzz,
+    mac_to_dcrpuzz,
     toy_commitment,
     toy_mac,
 )
@@ -142,6 +143,18 @@ def reference_draw(sampler, rng, trials):
     return sampler._puzz[row], ans[:, 0], ans[:, 1]
 
 
+def table_sampler(table):
+    """The sampler of the scheme whose law has the positive entries of
+    ``table[puzz, ans]`` as its atoms."""
+    rows, cols = np.nonzero(table)
+    p = (len(table) - 1).bit_length()
+    a = max(1, (table.shape[1] - 1).bit_length())
+    law = FiniteDist.from_codes(p + a, (rows << a) | cols, table[rows, cols])
+    return ColSampler(DcrScheme(puzz_len=p, ans_len=a,
+                                setup=FiniteDist.point(""),
+                                samp_laws={"": law}), "")
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_draws_match_the_structured_search(seed):
     rng = np.random.default_rng(7000 + seed)
@@ -151,7 +164,7 @@ def test_draws_match_the_structured_search(seed):
     if len(table) > 1:
         table[0] = 0.0
         table[0, 0] = 0.25                          # a single-atom row
-    sampler = ColSampler.from_table(table)
+    sampler = table_sampler(table)
     for draw_seed in range(5):
         got = sampler.draw(np.random.default_rng(draw_seed), 200)
         want = reference_draw(sampler, np.random.default_rng(draw_seed), 200)
@@ -167,9 +180,8 @@ def test_pinned_draws():
     samplers = {
         "law-0": (ColSampler(scheme, "0"), 5),
         "law-1": (ColSampler(scheme, "1"), 5),
-        "mac": (ColSampler.from_table(mac.law.reshape(16, -1)), 4),
-        "com": (ColSampler.from_table(
-            _com_law(com, _com_state(com, "coherent"))), 7),
+        "mac": (ColSampler(mac_to_dcrpuzz(mac), ""), 4),
+        "com": (ColSampler(com_to_dcrpuzz(com, "coherent"), ""), 7),
     }
     pinned = {
         "law-0": [[3, 0, 1, 3, 1, 3, 2, 0], [6, 1, 2, 5, 6, 5, 1, 6],

@@ -138,8 +138,7 @@ def ref_successes(triples, wins) -> int:
 def ref_law_of_state(scheme: DcrScheme, amps) -> FiniteDist:
     n = scheme.qubits
     probs = {}
-    for i, a in enumerate(amps):
-        p = (a.conjugate() * a).real
+    for i, p in enumerate(np.abs(amps) ** 2):
         if p > 1e-14:
             probs[format(i, f"0{n}b")] = p
     full = FiniteDist(probs)
@@ -259,13 +258,6 @@ def test_batched_draws_are_the_scalar_stream(seed):
         want = ref_col_draws(scheme.samp_law(pp), scheme.puzz_len, 500,
                              np.random.default_rng(seed))
         assert got == want
-
-
-def test_table_sampler_rejects_bad_tables():
-    with pytest.raises(StructureError):
-        ColSampler.from_table(np.ones(4) / 4)
-    with pytest.raises(StructureError):
-        ColSampler.from_table(np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("seed", range(4))

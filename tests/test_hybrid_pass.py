@@ -21,10 +21,12 @@ import ncmlab.cli as cli
 import ncmlab.qsim as qsim
 from ncmlab.dcrpuzz import (
     ColSampler,
+    DcrScheme,
     function_scheme,
     random_function_table,
     save_scheme,
 )
+from ncmlab.dist import FiniteDist
 from ncmlab.errors import InstanceTooLargeError, ParseError, StructureError
 from ncmlab.ncmo import oracle_read_codes, sample_byte_bound
 from ncmlab.puzzles import (
@@ -229,7 +231,9 @@ def test_the_sample_bounds_are_checked_before_drawing(monkeypatch):
     state = rng.bit_generator.state
     with pytest.raises(InstanceTooLargeError, match="1001 oracle calls"):
         oracle_read_codes(c, 1001, rng)
-    draw = ColSampler.from_table(np.full((2, 2), 0.25))
+    draw = ColSampler(DcrScheme(puzz_len=1, ans_len=1,
+                                setup=FiniteDist.point(""),
+                                samp_laws={"": FiniteDist.uniform(2)}), "")
     with pytest.raises(InstanceTooLargeError, match="collision draws"):
         draw.draw(rng, 1 << 40)
     # nothing was drawn

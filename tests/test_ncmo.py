@@ -597,13 +597,19 @@ def test_branch_invariant_raises_without_asserts(monkeypatch):
     def uncollapsed(states, m, rows, outcomes, cond):
         return states[np.asarray(rows)]
 
-    # the kernel's projection, at both of its import sites
     monkeypatch.setattr(ncmo, "project", uncollapsed)
-    monkeypatch.setattr(qsim, "project", uncollapsed)
     with pytest.raises(RuntimeError):
         oracle_read_codes(c, 200, np.random.default_rng(3))
+    # the single-shot walk keeps the state's width but widens the block
+    # into the other outcome, so its reads begin with the wrong bit
+    widen = qsim.widen
+
+    def wrong_outcome(blocks, m, outcomes):
+        return widen(blocks, m, np.asarray(outcomes) ^ 1)
+
+    monkeypatch.setattr(qsim, "widen", wrong_outcome)
     rng = np.random.default_rng(3)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="disagrees with its branch"):
         for _ in range(200):
             oracle_sample(c, rng)
 

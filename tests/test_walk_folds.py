@@ -1,6 +1,6 @@
 """The single-shot walk and the two tree folds against the loops they replaced.
 
-``qsim.walk`` and ``qsim.draw_readout`` now carry every single-shot run, and
+``qsim.walk`` and ``qsim.readout_dist`` now carry every single-shot run, and
 the code-valued tree folds of ``ncmo`` and ``puzzles`` every exact law. The
 hand-written loops they replaced are kept below as test-local references;
 the law references run on the frozen bit-string algebra of
@@ -50,7 +50,6 @@ from ncmlab.qsim import (
     Gate,
     Step,
     apply_step_unitary,
-    draw_readout,
     enumerate_branches,
     initial_state,
     outcome_probs,
@@ -283,14 +282,6 @@ def test_the_seeded_circuits_cover_the_corners():
 
 
 # -- draws ------------------------------------------------------------------------
-
-def test_draw_readout_is_the_readout_law_sample():
-    for i, c in enumerate(CIRCUITS):
-        for node in enumerate_branches(c).nodes_at(c.depth):
-            _same_stream(lambda r: draw_readout(node.state, c.qubits, r),
-                         lambda r: readout_dist(node.state, c.qubits).sample(r),
-                         i)
-
 
 @pytest.mark.parametrize("i", range(len(CIRCUITS)))
 def test_single_shot_draws_equal_the_replaced_loops(i):
