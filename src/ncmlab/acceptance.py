@@ -47,8 +47,8 @@ from .qsim import (
 from .puzzles import (
     adaptive_replacement_law,
     hybrid_b_law,
+    hybrid_laws,
     per_step_sd,
-    q_star_law,
     step_adversary,
 )
 from .dcrpuzz import (
@@ -170,9 +170,11 @@ def criterion_3(seed: int = BASE_SEED) -> list[Check]:
             adv = step_adversary(kind)
             top = hybrid_b_law(circuit.depth, x, circuit, adv)
             worst_top = max(worst_top, sd(top, genuine))
+            # B(0) by its own fold against the one-pass chain's B(0), the
+            # law check-hybrid reports from
             bottom = hybrid_b_law(0, x, circuit, adv)
             worst_bottom = max(worst_bottom,
-                               sd(bottom, q_star_law(x, circuit, adv)))
+                               sd(bottom, hybrid_laws(x, circuit, adv)[0]))
     return [
         _leq("hybrid/full-chain-equals-oracle[20x4]", worst_top, EXACT_TOL),
         _leq("hybrid/empty-chain-equals-guess-machine[20x4]",

@@ -144,6 +144,8 @@ def _parse_params(raw: str | None) -> dict:
         key, value = key.strip(), value.strip()
         if not key:
             raise ParseError(f"parameter {part!r} has an empty name")
+        if key in out:
+            raise ParseError(f"parameter {key} is given more than once")
         out[key] = value
     return out
 

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import FiniteDist, condition, empirical, marginal, ragged_blocks, sd
+from .dist import (FiniteDist, condition, empirical, marginal, ragged_blocks,
+                   runs, sd)
 from .errors import InstanceTooLargeError, ParseError, StructureError
 from .ncmo import oracle_exact, oracle_sample
 from .qsim import (
@@ -159,9 +160,8 @@ def col_law(scheme: DcrScheme, pp: str) -> FiniteDist:
     samp, a = scheme.samp_law(pp), scheme.ans_len
     puzz, ans, w = samp.codes >> a, samp.codes & ((1 << a) - 1), samp.weights
     # the atoms of one puzzle are a run of the sorted codes
-    starts = np.flatnonzero(np.concatenate(([True], puzz[1:] != puzz[:-1])))
+    starts, group = runs(puzz)
     sizes = np.diff(np.append(starts, len(puzz)))
-    group = np.repeat(np.arange(len(starts)), sizes)
     size = int((sizes * sizes).sum())
     if size > MAX_COL_SUPPORT:
         raise InstanceTooLargeError(
@@ -220,8 +220,7 @@ class ColSampler:
     def __init__(self, scheme: DcrScheme, pp: str):
         law, a = scheme.samp_law(pp), scheme.ans_len
         rows, w = law.codes >> a, law.weights
-        self._starts = np.flatnonzero(np.concatenate(
-            ([True], rows[1:] != rows[:-1])))
+        self._starts, _ = runs(rows)
         self._ends = np.append(self._starts[1:], len(w))
         self._puzz = rows[self._starts]
         self._cols = law.codes & ((1 << a) - 1)
@@ -509,8 +508,8 @@ def scheme_from_json(obj, *, circuit_loader=None) -> DcrScheme:
     {"laws": {pp: ...}} with a "setup" law, or {"circuit": ..., "
     puzz_register": m} where the circuit is a one-step preparation; a
     string-valued circuit is resolved through circuit_loader. A "setup"
-    beside "law" or "circuit", a "pp" beside "laws" and a "pp" that is not
-    a bit string are ParseErrors.
+    beside "law" or "circuit", a "pp" beside "laws", a "pp" that is not
+    a bit string and a "pp_len" other than the setup law's are ParseErrors.
     """
     if not isinstance(obj, dict):
         raise ParseError("scheme file must hold a JSON object")
@@ -532,14 +531,21 @@ def scheme_from_json(obj, *, circuit_loader=None) -> DcrScheme:
     pp = obj.get("pp", "")
     if not isinstance(pp, str) or not set(pp) <= {"0", "1"}:
         raise ParseError(f"'pp' must be a bit string, got {pp!r}")
-    if kind == "law":
-        return DcrScheme(puzz_len=puzz_len, ans_len=ans_len,
-                         junk_len=junk_len, setup=FiniteDist.point(pp),
-                         samp_laws={pp: _law_from_json(source["law"])})
     if kind == "laws":
         if "setup" not in obj:
             raise ParseError("multi-pp source needs a setup law")
         setup = _law_from_json(obj["setup"])
+    else:
+        setup = FiniteDist.point(pp)
+    pp_len = _json_int(obj.get("pp_len", setup.length), "'pp_len'")
+    if pp_len != setup.length:
+        raise ParseError(f"'pp_len' {pp_len} disagrees with the "
+                         f"{setup.length}-bit pp of the setup law")
+    if kind == "law":
+        return DcrScheme(puzz_len=puzz_len, ans_len=ans_len,
+                         junk_len=junk_len, setup=setup,
+                         samp_laws={pp: _law_from_json(source["law"])})
+    if kind == "laws":
         laws = source["laws"]
         if not isinstance(laws, dict):
             raise ParseError("source.laws must map pp to laws")
@@ -569,8 +575,7 @@ def scheme_from_json(obj, *, circuit_loader=None) -> DcrScheme:
     amps = apply_step_unitary(initial_state(circuit.qubits),
                               circuit.steps[0], circuit.qubits)
     return DcrScheme(puzz_len=puzz_len, ans_len=ans_len,
-                     junk_len=junk_len, setup=FiniteDist.point(pp),
-                     states={pp: amps})
+                     junk_len=junk_len, setup=setup, states={pp: amps})
 
 
 def load_scheme(path: str) -> DcrScheme:

@@ -307,6 +307,14 @@ class EmpiricalDist:
             k: c / self.shots for k, c in self.counts.items()}}
 
 
+def runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Runs of equal entries in a sorted, non-empty array: the index at
+    which each run starts, and each entry's run number. Run numbers group
+    the atoms of one prefix of a law's codes for ``np.bincount``."""
+    new = np.concatenate(([True], keys[1:] != keys[:-1]))
+    return np.flatnonzero(new), np.cumsum(new) - 1
+
+
 def ragged_blocks(lengths: np.ndarray):
     """Rows of a ragged array, stored flat in row order, grouped by length.
 

@@ -19,16 +19,17 @@ attack succeeds only against the coherent form, and that gap is preserved
 here as a documented behavior, not smoothed over.
 
 Both toys take their public table R as an int64 code array (entry k is R
-at key code k = x || theta) and build their game tables from it once per
-instance, indexed by the registers' big-endian codes: for the tag scheme
-the sampler law P[vk, m, sigma] and the verification table V[vk, m, sigma];
-for the commitment the receiver's table ok[y, b || key], read against the
-Born law P[y, b || key] of a sampler form's state. Exact game values are
-sums over these arrays, and a collision attack draws all its trials in one
-``ColSampler.draw`` batch and scores them in one comparison. The bit-string
-methods (``sign_law``, ``gen``, ``ver``, ``r2``) remain the single-call
-interface; the string views they read (``table``, ``preimages``,
-``classes``) are formatted on first read.
+at key code k = x || theta) and build their games from it once per
+instance, on the registers' big-endian codes. The tag scheme holds one
+law: ``ToyMac.law``, the derived scheme's sampler law as the atoms of
+vk || m || sigma, and a signature verifies exactly when its code is one of
+those atoms. The commitment holds the receiver's table ok[y, b || key],
+read against the Born law P[y, b || key] of a sampler form's state. Exact
+game values are sums over the atoms and tables, and a collision attack
+draws all its trials in one ``ColSampler.draw`` batch and scores them in
+one comparison. The bit-string methods (``sign_law``, ``gen``, ``ver``,
+``r2``) remain the single-call interface; the string views they read
+(``table``, ``preimages``, ``classes``) are formatted on first read.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import FiniteDist, marginal, sd
+from .dist import FiniteDist, marginal, runs, sd
 from .errors import (
     ImpossibleConditionError,
     InstanceTooLargeError,
@@ -91,11 +92,6 @@ def _check_qubits(n: int, low: int, cap: int):
         raise StructureError(f"n must be {low}..{cap}")
 
 
-def _seq_last(a: np.ndarray) -> np.ndarray:
-    """Sums along the last axis, added left to right."""
-    return np.cumsum(a, axis=-1)[..., -1]
-
-
 # -- the signing toy ------------------------------------------------------------
 
 class ToyMac:
@@ -133,26 +129,28 @@ class ToyMac:
         return out
 
     @functools.cached_property
-    def law(self) -> np.ndarray:
-        """P[vk, m, sigma]: the derived scheme's sampler law, as codes.
+    def law(self) -> FiniteDist:
+        """The derived scheme's sampler law over vk || m || sigma.
 
         Key and message are uniform; a signature is valid when it matches
-        x wherever m and theta agree, and weighs 2^-(free positions).
+        x wherever m and theta agree, and weighs 2^-(free positions). The
+        atoms of keys that share a vk merge in key order.
         """
-        n, lm = self.n, self.lm
-        w = _sign_weights(n, lm, np.arange(1 << lm))
-        w *= 2.0 ** -(2 * n + lm)
-        law = np.zeros((1 << (2 * n), 1 << lm, 1 << lm))
-        # one block add per key; np.add.at is five times slower at n=6
-        for k, vk in enumerate(self.vk_codes.tolist()):
-            law[vk] += w[k]
-        return law
+        n, lm, a = self.n, self.lm, 2 * self.lm
+        w = _sign_weights(n, lm, np.arange(1 << lm)).reshape(-1)
+        at = np.flatnonzero(w)  # key << a | m || sigma
+        weights = w[at] * 2.0 ** -(2 * n + lm)
+        del w  # the dense weights would otherwise outlive the merge
+        codes = (self.vk_codes[at >> a] << a) | (at & ((1 << a) - 1))
+        return FiniteDist.from_codes(2 * n + a, codes, weights)
 
-    @functools.cached_property
-    def accepts(self) -> np.ndarray:
-        """V[vk, m, sigma]: ``ver`` as a table. A signature verifies when
-        some preimage of vk signs it, which is where the law is positive."""
-        return self.law > 0.0
+    def accepts(self, vk, ans):
+        """``ver`` on codes, ans = m || sigma. A signature verifies when
+        some preimage of vk signs it, which is where the law has an atom."""
+        codes = self.law.codes
+        want = (vk << 2 * self.lm) | ans
+        at = np.minimum(np.searchsorted(codes, want), len(codes) - 1)
+        return codes[at] == want
 
     def gen(self, rng: np.random.Generator) -> tuple[str, tuple[str, str]]:
         """(vk, signing key); the signing key is the encoded pair."""
@@ -222,12 +220,8 @@ def mac_to_dcrpuzz(mac: ToyMac) -> DcrScheme:
     The table itself plays the role of public parameters, so the setup law
     is the trivial point; the scheme object carries the table.
     """
-    n, lm = mac.n, mac.lm
-    flat = mac.law.reshape(-1)
-    atoms = np.flatnonzero(flat)
-    law = FiniteDist.from_codes(2 * n + 2 * lm, atoms, flat[atoms])
-    return DcrScheme(puzz_len=2 * n, ans_len=2 * lm,
-                     setup=FiniteDist.point(""), samp_laws={"": law})
+    return DcrScheme(puzz_len=2 * mac.n, ans_len=2 * mac.lm,
+                     setup=FiniteDist.point(""), samp_laws={"": mac.law})
 
 
 def mac_break_exact(mac: ToyMac) -> float:
@@ -236,20 +230,18 @@ def mac_break_exact(mac: ToyMac) -> float:
     The game hands over (vk, m, sigma, m', sigma') and pays out when both
     pairs verify and the messages differ. Working per verification key
     keeps the quadratic pairing implicit: with q(m) the verified mass at
-    message m, the win given vk is (sum q)^2 - sum q^2. Every sum runs left
-    to right in code order, the order of the atoms in the scheme's law.
+    message m, the win given vk is (sum q)^2 - sum q^2. Every atom of the
+    law verifies, and every sum runs left to right in code order.
     """
-    law = mac.law.reshape(len(mac.law), -1)
-    ok = mac.accepts.reshape(law.shape)
-    present = np.flatnonzero(law.any(axis=1))
-    terms = []
-    # a few hundred keys at a time bounds the temporaries at n=6
-    for rows in np.array_split(present, -(-len(present) // 512)):
-        mass = _seq_last(law[rows])
-        q = np.where(ok[rows], law[rows], 0.0) / mass[:, None]
-        per_m = _seq_last(q.reshape(len(rows), 1 << mac.lm, -1))
-        terms.append(mass * (_seq_last(q) ** 2 - _seq_last(per_m * per_m)))
-    return float(_seq_last(np.concatenate(terms)))
+    law, lm = mac.law, mac.lm
+    _, vk = runs(law.codes >> 2 * lm)
+    msg_starts, msg = runs(law.codes >> lm)
+    mass = np.bincount(vk, law.weights)
+    q = law.weights / mass[vk]
+    per_m = np.bincount(msg, q)
+    terms = mass * (np.bincount(vk, q) ** 2
+                    - np.bincount(vk[msg_starts], per_m * per_m))
+    return float(np.cumsum(terms)[-1])
 
 
 def mac_break_via_collision(mac: ToyMac, trials: int,
@@ -263,11 +255,11 @@ def mac_break_via_collision(mac: ToyMac, trials: int,
     if source not in ("col", "duplicate"):
         raise StructureError(f"unknown collision source {source!r}")
     lm = mac.lm
-    ok = mac.accepts.reshape(len(mac.accepts), -1)
     vk, ans, ans2 = ColSampler(mac_to_dcrpuzz(mac), "").draw(rng, trials)
     if source == "duplicate":
         ans2 = ans
-    wins = ((ans >> lm) != (ans2 >> lm)) & ok[vk, ans] & ok[vk, ans2]
+    wins = (((ans >> lm) != (ans2 >> lm)) & mac.accepts(vk, ans)
+            & mac.accepts(vk, ans2))
     exact = mac_break_exact(mac) if source == "col" else 0.0
     return GameReport(game=f"mac-forgery[{source}]", trials=trials,
                       successes=int(wins.sum()), exact=exact)
@@ -325,7 +317,9 @@ def naive_forge_win_exact(mac: ToyMac) -> float:
     m0, m1 = 0, 1 << (lm - 1)
     # reading every qubit in the computational basis signs the message 0..0
     reads = _sign_weights(n, lm, np.array([m0]))[:, 0]
-    both = mac.accepts[mac.vk_codes, m0] & mac.accepts[mac.vk_codes, m1]
+    vk, sigma = mac.vk_codes[:, None], np.arange(1 << lm)
+    both = (mac.accepts(vk, (m0 << lm) | sigma)
+            & mac.accepts(vk, (m1 << lm) | sigma))
     return float(np.sum(reads * both)) * 2.0 ** (-2 * n)
 
 

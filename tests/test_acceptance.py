@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from ncmlab import acceptance
 from ncmlab.acceptance import CRITERIA, SUITES, run_criterion, run_suite
 from ncmlab.errors import StructureError
 
@@ -55,3 +56,18 @@ def test_fast_suite_is_deterministic():
     first = run_suite("adaptive-replacement")
     second = run_suite("adaptive-replacement")
     assert first == second
+
+
+def test_empty_chain_check_reads_the_one_pass_chain(monkeypatch):
+    # B(0) is checked against hybrid_laws' B(0), so a chain whose first law
+    # is wrong fails the check
+    real = acceptance.hybrid_laws
+
+    def off_by_one(x, circuit, adv):
+        laws = real(x, circuit, adv)
+        return (laws[-1], *laws[1:])
+
+    monkeypatch.setattr(acceptance, "hybrid_laws", off_by_one)
+    checks = {c.name: c for c in run_criterion(3)}
+    assert not checks["hybrid/empty-chain-equals-guess-machine[20x4]"].passed
+    assert checks["hybrid/full-chain-equals-oracle[20x4]"].passed

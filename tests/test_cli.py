@@ -251,6 +251,8 @@ def test_counts_below_one_are_input_errors(argv, bell_file, scheme_file,
     ("commitment", "n=5", 4),
     ("commitment", "n=5,table=random", 4),
     ("commitment", "n=40,c=1", 4),
+    ("mac", "n=4,n=6", 3),
+    ("commitment", "c=1,n=3, c=2", 3),
 ])
 def test_reduction_params_exit_codes(primitive, params, code, tmp_path,
                                      capsys):
@@ -428,11 +430,22 @@ def _with_probs(probs):
                  source={"laws": {"0": {"length": 2, "probs": {"00": 1.0}},
                                   "x": {"length": 2, "probs": {"11": 1.0}}}}),
      "'x'"),
+    (_law_scheme(pp_len=3), "'pp_len'"),
+    (_law_scheme(pp="0", pp_len=0), "'pp_len'"),
+    (_law_scheme(pp_len=True), "'pp_len'"),
+    (_law_scheme(pp_len="0"), "'pp_len'"),
+    (_law_scheme(pp_len=0.0), "'pp_len'"),
+    (_law_scheme(pp_len=2, source=PREP_SOURCE), "'pp_len'"),
+    (_law_scheme(pp_len=0, setup={"length": 1, "probs": {"0": 1.0}},
+                 source={"laws": {"0": {"length": 2,
+                                        "probs": {"00": 1.0}}}}), "'pp_len'"),
 ], ids=["junk-x", "puzz-true", "puzz-string", "ans-float", "prob-x",
         "prob-string", "prob-nan", "prob-inf", "probs-list", "probs-string",
         "setup-null", "setup-beside-law", "setup-beside-circuit",
         "pp-beside-laws", "pp-int-law", "pp-not-bits", "pp-int-circuit",
-        "laws-key-outside-setup"])
+        "laws-key-outside-setup", "pp-len-3", "pp-len-0-beside-pp",
+        "pp-len-true", "pp-len-string", "pp-len-float", "pp-len-circuit",
+        "pp-len-laws"])
 def test_malformed_scheme_fields_are_input_errors(obj, field, tmp_path,
                                                   capsys):
     path = tmp_path / "scheme.json"
@@ -441,6 +454,25 @@ def test_malformed_scheme_fields_are_input_errors(obj, field, tmp_path,
     assert run(["run-dcr", "--scheme", str(path)], str(out)) == 3
     assert field in _one_line_error(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("obj", [
+    _law_scheme(pp_len=0),
+    _law_scheme(pp="1", pp_len=1),
+    _law_scheme(pp="10", pp_len=2, source=PREP_SOURCE),
+])
+def test_a_matching_pp_len_is_accepted(obj, tmp_path):
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps(obj))
+    assert run(["run-dcr", "--scheme", str(path)],
+               str(tmp_path / "out.json")) == 0
+
+
+def test_a_repeated_param_is_named(tmp_path, capsys):
+    assert run(["run-reduction", "--primitive", "mac", "--params",
+                "n=2,lm=2,n=3", "--seed", "1"],
+               str(tmp_path / "never.json")) == 3
+    assert "parameter n " in _one_line_error(capsys)
 
 
 @pytest.mark.parametrize("pp", ["x", "00", "0b1", ""])

@@ -19,6 +19,7 @@ from ncmlab.dist import (
     product,
     push_forward,
     ragged_blocks,
+    runs,
     sd,
 )
 from ncmlab.errors import (
@@ -330,6 +331,14 @@ def test_code_constructor_merges_in_input_order():
         FiniteDist({"0" * 63: 1.0})
     with pytest.raises(StructureError):
         FiniteDist.point(5)
+
+
+@pytest.mark.parametrize("keys", [[5], [1, 1, 1], [0, 0, 2, 3, 3, 3, 9]])
+def test_runs_group_a_sorted_array(keys):
+    keys = np.array(keys)
+    starts, ids = runs(keys)
+    assert np.array_equal(keys[starts], np.unique(keys))
+    assert np.array_equal(ids, np.unique(keys, return_inverse=True)[1])
 
 
 def test_ragged_blocks_reduce_like_each_row():

@@ -21,6 +21,8 @@ from ncmlab.dist import FiniteDist, marginal, push_forward
 from ncmlab.errors import StructureError
 from ncmlab.primitives import (
     ToyCommitment,
+    ToyMac,
+    _sign_weights,
     balanced_table,
     bits,
     both_parity_mass,
@@ -180,8 +182,79 @@ def test_mac_tables_match_the_string_loops(n, lm):
 def test_mac_verification_table_is_ver():
     mac = toy_mac(2, 2, np.random.default_rng(11))
     for vk, m, sigma in itertools.product(bits(4), bits(2), bits(2)):
-        assert bool(mac.accepts[int(vk, 2), int(m, 2), int(sigma, 2)]) \
+        assert bool(mac.accepts(int(vk, 2), int(m + sigma, 2))) \
             == mac.ver(vk, m, sigma)
+
+
+# the dense tables the atom law replaced: P[vk, m, sigma] built by one
+# block add per key, V = P > 0, and the win summed over key chunks
+
+def dense_mac_law(mac) -> np.ndarray:
+    n, lm = mac.n, mac.lm
+    w = _sign_weights(n, lm, np.arange(1 << lm))
+    w *= 2.0 ** -(2 * n + lm)
+    law = np.zeros((1 << (2 * n), 1 << lm, 1 << lm))
+    for k, vk in enumerate(mac.vk_codes.tolist()):
+        law[vk] += w[k]
+    return law
+
+
+def dense_mac_break_exact(law: np.ndarray, lm: int) -> float:
+    def seq_last(a):
+        return np.cumsum(a, axis=-1)[..., -1]
+
+    law = law.reshape(len(law), -1)
+    ok = law > 0.0
+    present = np.flatnonzero(law.any(axis=1))
+    terms = []
+    for rows in np.array_split(present, -(-len(present) // 512)):
+        mass = seq_last(law[rows])
+        q = np.where(ok[rows], law[rows], 0.0) / mass[:, None]
+        per_m = seq_last(q.reshape(len(rows), 1 << lm, -1))
+        terms.append(mass * (seq_last(q) ** 2 - seq_last(per_m * per_m)))
+    return float(seq_last(np.concatenate(terms)))
+
+
+def _macs():
+    for n, lm in [(4, 3), (5, 5), (6, 3)]:
+        yield f"n{n}lm{lm}", toy_mac(n, lm, np.random.default_rng(n + lm))
+    for n, lm in [(3, 2), (4, 4)]:
+        yield f"n{n}lm{lm}-constant", ToyMac(n, lm, np.zeros(1 << 2 * n,
+                                                             dtype=int))
+
+
+@pytest.mark.parametrize("name,mac", list(_macs()))
+def test_mac_atoms_equal_the_dense_tables(name, mac):
+    dense = dense_mac_law(mac)
+    flat = dense.reshape(-1)
+    atoms = np.flatnonzero(flat)
+    assert mac_to_dcrpuzz(mac).samp_law("") is mac.law
+    assert np.array_equal(mac.law.codes, atoms)
+    assert np.array_equal(mac.law.weights, flat[atoms])
+    assert mac_break_exact(mac) == dense_mac_break_exact(dense, mac.lm)
+    a = 2 * mac.lm
+    codes = np.arange(len(flat))
+    assert np.array_equal(mac.accepts(codes >> a, codes & ((1 << a) - 1)),
+                          flat > 0.0)
+
+
+@pytest.mark.parametrize("top", [0, 1])
+def test_mac_accepts_codes_past_the_last_atom(top):
+    n, lm = 2, 2
+    vk = top * ((1 << 2 * n) - 1)
+    mac = ToyMac(n, lm, np.full(1 << 2 * n, vk))
+    last = int(mac.law.codes[-1])
+    vks, ans = np.arange(1 << 2 * n), np.arange(1 << 2 * lm)
+    got = mac.accepts(vks[:, None], ans[None, :])
+    for v, a in itertools.product(vks.tolist(), ans.tolist()):
+        assert got[v, a] == mac.ver(format(v, "04b"), format(a >> lm, "02b"),
+                                    format(a & 3, "02b"))
+    # every code above the last atom searches past the end of the law
+    codes = np.arange(last + 1, 1 << 2 * (n + lm))
+    assert not mac.accepts(codes >> 2 * lm, codes & 15).any()
+    # the top code is the last atom exactly when the table maps to the top vk
+    assert bool(mac.accepts((1 << 2 * n) - 1, (1 << 2 * lm) - 1)) == bool(top)
+    assert (last == (1 << 2 * (n + lm)) - 1) == bool(top)
 
 
 def test_mac_tables_need_no_numpy_2_ufunc(monkeypatch):
