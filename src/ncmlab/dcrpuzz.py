@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import (FiniteDist, condition, empirical, marginal, ragged_blocks,
-                   runs, sd)
+from .dist import (FiniteDist, condition, empirical, marginal, ragged_arange,
+                   ragged_blocks, run_numbers, runs, sd)
 from .errors import InstanceTooLargeError, ParseError, StructureError
 from .ncmo import oracle_exact, oracle_sample
 from .qsim import (
@@ -160,17 +160,15 @@ def col_law(scheme: DcrScheme, pp: str) -> FiniteDist:
     samp, a = scheme.samp_law(pp), scheme.ans_len
     puzz, ans, w = samp.codes >> a, samp.codes & ((1 << a) - 1), samp.weights
     # the atoms of one puzzle are a run of the sorted codes
-    starts, group = runs(puzz)
-    sizes = np.diff(np.append(starts, len(puzz)))
+    starts, sizes = runs(puzz)
     size = int((sizes * sizes).sum())
     if size > MAX_COL_SUPPORT:
         raise InstanceTooLargeError(
             f"collision law would hold {size} atoms; cap is {MAX_COL_SUPPORT}")
     # atom i pairs with every atom of its group, in order
+    group = run_numbers(sizes)
     pairs = sizes[group]
-    first = np.repeat(np.arange(len(w)), pairs)
-    second = (starts[group[first]] + np.arange(len(first))
-              - np.repeat(np.cumsum(pairs) - pairs, pairs))
+    first, second = run_numbers(pairs), ragged_arange(starts[group], pairs)
     mass = np.bincount(group, weights=w)  # each group summed left to right
     return FiniteDist.from_codes(
         scheme.puzz_len + 2 * a,
@@ -220,14 +218,13 @@ class ColSampler:
     def __init__(self, scheme: DcrScheme, pp: str):
         law, a = scheme.samp_law(pp), scheme.ans_len
         rows, w = law.codes >> a, law.weights
-        self._starts, _ = runs(rows)
-        self._ends = np.append(self._starts[1:], len(w))
+        self._starts, sizes = runs(rows)
+        self._ends = self._starts + sizes
         self._puzz = rows[self._starts]
         self._cols = law.codes & ((1 << a) - 1)
         # per-row masses and conditional cumsums, both summed left to
         # right, the order of the scalar sampler's Python sums; rows of
         # one length are one block
-        sizes = self._ends - self._starts
         marg = np.empty(len(sizes))
         self._cum = np.empty(len(w))
         for r, at in ragged_blocks(sizes):

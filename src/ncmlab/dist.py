@@ -92,9 +92,13 @@ class FiniteDist:
         codes = np.asarray(codes, dtype=np.int64)
         weights = np.asarray(weights, dtype=np.float64)
         if len(codes) > 1 and not (codes[1:] > codes[:-1]).all():
-            # bincount adds each code's weights in input order
-            codes, at = np.unique(codes, return_inverse=True)
-            weights = np.bincount(at.ravel(), weights, len(codes))
+            # stable: bincount adds equal codes in input order
+            order = np.argsort(codes, kind="stable")
+            codes, weights = codes[order], weights[order]
+            del order  # freed before the merge's arrays: peak memory
+            starts, lengths = runs(codes)
+            weights = np.bincount(run_numbers(lengths), weights)
+            codes = codes[starts]
         if len(codes) and (codes[0] < 0 or int(codes[-1]) >> length):
             raise StructureError(f"codes do not fit in {length} bits")
         if not weights.all():
@@ -181,10 +185,10 @@ class FiniteDist:
         if not isinstance(obj, dict) or not isinstance(obj.get("probs"), dict):
             raise StructureError("distribution JSON needs a 'probs' object")
         d = cls(obj["probs"])
-        declared = obj.get("length")
-        if declared is not None and declared != d.length:
+        declared = obj.get("length", d.length)
+        if type(declared) is not int or declared != d.length:  # not a bool
             raise StructureError(
-                f"declared length {declared} != key length {d.length}")
+                f"'length' must be the key length {d.length}, got {declared!r}")
         return d
 
 
@@ -219,16 +223,11 @@ def condition(d: FiniteDist, prefix: str) -> FiniteDist:
 
 def push_forward(d: FiniteDist, f: Callable[[str], str]) -> FiniteDist:
     """Image law under a map from bit strings to bit strings."""
-    out: dict[str, float] = {}
-    length = None
-    for k, v in d.items():
-        y = check_bits(f(k))
-        if length is None:
-            length = len(y)
-        elif len(y) != length:
-            raise StructureError("push_forward map produced mixed lengths")
-        out[y] = out.get(y, 0.0) + v
-    return FiniteDist(out)
+    image = [check_bits(f(k)) for k in d.support]
+    if len({len(y) for y in image}) > 1:
+        raise StructureError("push_forward map produced mixed lengths")
+    return FiniteDist.from_codes(
+        len(image[0]), [int(y or "0", 2) for y in image], d.weights)
 
 
 def marginal(d: FiniteDist, positions: Sequence[int]) -> FiniteDist:
@@ -308,11 +307,24 @@ class EmpiricalDist:
 
 
 def runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Runs of equal entries in a sorted, non-empty array: the index at
-    which each run starts, and each entry's run number. Run numbers group
-    the atoms of one prefix of a law's codes for ``np.bincount``."""
-    new = np.concatenate(([True], keys[1:] != keys[:-1]))
-    return np.flatnonzero(new), np.cumsum(new) - 1
+    """Start and length of each run of equal entries in a sorted, non-empty
+    array, or of equal rows in a lexsorted 2-D one."""
+    new = keys[1:] != keys[:-1]
+    if new.ndim > 1:  # a row starts a run where any field changes
+        new = new.any(axis=1)
+    starts = np.flatnonzero(np.concatenate(([True], new)))
+    return starts, np.concatenate((starts[1:], [len(keys)])) - starts
+
+
+def run_numbers(lengths: np.ndarray) -> np.ndarray:
+    """Each entry's run number, for ``np.bincount``, from the run lengths."""
+    return np.repeat(np.arange(len(lengths)), lengths)
+
+
+def ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """arange(starts[i], starts[i] + lengths[i]) for every i, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1]) - np.repeat(ends - lengths - starts, lengths)
 
 
 def ragged_blocks(lengths: np.ndarray):
@@ -330,8 +342,7 @@ def ragged_blocks(lengths: np.ndarray):
         return
     starts = np.cumsum(lengths) - lengths
     order = np.argsort(lengths, kind="stable")
-    cuts = np.flatnonzero(np.diff(lengths[order])) + 1
-    for rows in np.split(order, cuts):
+    for rows in np.split(order, runs(lengths[order])[0][1:]):
         yield rows, starts[rows][:, None] + np.arange(lengths[rows[0]])
 
 
@@ -377,14 +388,11 @@ def empirical_codes(rows: np.ndarray, width: int) -> EmpiricalDist:
         raise StructureError(f"codes do not fit in {width}-bit fields")
     if k * width <= MAX_CODE_BITS:
         ordered = np.sort(_join(rows, width))
-        changed = ordered[1:] != ordered[:-1]
     else:
         ordered = rows[np.lexsort(rows.T[::-1])]
-        changed = (ordered[1:] != ordered[:-1]).any(axis=1)
-    starts = np.flatnonzero(np.concatenate(([True], changed)))
+    starts, sizes = runs(ordered)
     distinct = ordered[starts]
     if distinct.ndim == 1:  # split the codes back into fields
         distinct = (distinct[:, None] >> width * np.arange(k)[::-1]
                     & (1 << width) - 1).astype(rows.dtype)
-    return EmpiricalDist(distinct, np.diff(np.append(starts, shots)),
-                         width, shots)
+    return EmpiricalDist(distinct, sizes, width, shots)

@@ -59,7 +59,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dist import FiniteDist, check_bits, product, ragged_blocks, sd
+from .dist import (FiniteDist, check_bits, product, ragged_arange,
+                   ragged_blocks, sd)
 from .errors import (
     InstanceTooLargeError,
     ProtocolError,
@@ -256,12 +257,6 @@ def _guard_output_bits(circuit: Circuit, what: str):
             f"(q_t, q1, q2) instead.")
 
 
-def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """arange(starts[i], starts[i] + lengths[i]) for every i, concatenated."""
-    ends = np.cumsum(lengths)
-    return np.arange(ends[-1]) - np.repeat(ends - lengths - starts, lengths)
-
-
 def path_fold(circuit: Circuit,
               read_law: Callable[[int, Level], tuple]) -> FiniteDist:
     """Sum over leaves of Pr[leaf] * (r_1 x ... x r_T), r_i being the
@@ -288,10 +283,9 @@ def _fold_level(fold: tuple | None, level: Level, law: tuple,
     """The fold of the path prefixes through ``level``: ``fold`` (None
     before step 1) extended by ``law``, the level's ragged read law.
 
-    A fold is (codes, weights, sizes): its entries grouped by node of its
-    last level, node c holding sizes[c] of them, each a code so far and
-    its weight. Child c's entries are one run per entry of its parent, in
-    order, each run c's atoms in order.
+    A fold is (codes, weights, sizes): node c of its last level holds
+    sizes[c] entries, each a code so far and its weight, in the order of a
+    node-by-node fold.
     """
     rows, r, rw = law
     atoms = np.bincount(rows, minlength=len(level.parent))
@@ -299,9 +293,9 @@ def _fold_level(fold: tuple | None, level: Level, law: tuple,
         return r, rw, atoms
     codes, weights, sizes = fold
     runs = sizes[level.parent]
-    pick = _ragged_arange((np.cumsum(sizes) - sizes)[level.parent], runs)
+    pick = ragged_arange((np.cumsum(sizes) - sizes)[level.parent], runs)
     width = np.repeat(atoms, runs)
-    at = _ragged_arange(np.repeat(np.cumsum(atoms) - atoms, runs), width)
+    at = ragged_arange(np.repeat(np.cumsum(atoms) - atoms, runs), width)
     return ((np.repeat(codes[pick], width) << n) | r[at],
             np.repeat(weights[pick], width) * rw[at], runs * atoms)
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import FiniteDist, marginal, runs, sd
+from .dist import FiniteDist, marginal, run_numbers, runs, sd
 from .errors import (
     ImpossibleConditionError,
     InstanceTooLargeError,
@@ -159,9 +159,8 @@ class ToyMac:
         return self.table[x + theta], (x, theta)
 
     def vk_law(self) -> FiniteDist:
-        vks, counts = np.unique(self.vk_codes, return_counts=True)
-        return FiniteDist.from_codes(2 * self.n, vks,
-                                     1.0 / (1 << (2 * self.n)) * counts)
+        return FiniteDist.from_codes(
+            2 * self.n, self.vk_codes, np.full(1 << 2 * self.n, 0.25 ** self.n))
 
     def sign_law(self, x: str, theta: str, m: str) -> FiniteDist:
         """Measure the first lm encoded qubits in bases chosen by m."""
@@ -234,11 +233,11 @@ def mac_break_exact(mac: ToyMac) -> float:
     law verifies, and every sum runs left to right in code order.
     """
     law, lm = mac.law, mac.lm
-    _, vk = runs(law.codes >> 2 * lm)
-    msg_starts, msg = runs(law.codes >> lm)
+    vk = run_numbers(runs(law.codes >> 2 * lm)[1])
+    msg_starts, msg_sizes = runs(law.codes >> lm)
     mass = np.bincount(vk, law.weights)
     q = law.weights / mass[vk]
-    per_m = np.bincount(msg, q)
+    per_m = np.bincount(run_numbers(msg_sizes), q)
     terms = mass * (np.bincount(vk, q) ** 2
                     - np.bincount(vk[msg_starts], per_m * per_m))
     return float(np.cumsum(terms)[-1])

@@ -191,10 +191,12 @@ class ConstantAdversary(StepAdversary):
 def step_adversary(kind: str) -> StepAdversary:
     """Build a step adversary from a short name like 'rejection:5000'."""
     name, _, arg = kind.partition(":")
-    if name == "perfect":
+    if kind == "perfect":
         return PerfectAdversary()
-    if name == "oblivious":
+    if kind == "oblivious":
         return ObliviousAdversary()
+    if name in ("perfect", "oblivious"):
+        raise StructureError(f"the {name} adversary takes no argument: {kind!r}")
     if name == "rejection":
         if arg and (not arg.isdecimal() or int(arg) < 1):
             raise StructureError(

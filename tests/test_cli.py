@@ -374,6 +374,17 @@ def test_check_hybrid_rejects_bad_rejection_budgets(adversary, instance_file,
                 "--adversary", "rejection:5000"], str(out)) == 0
 
 
+@pytest.mark.parametrize("adversary", ["perfect:3", "oblivious:x",
+                                       "perfect:", "oblivious:0"])
+def test_check_hybrid_refuses_an_argument_to_an_argless_adversary(
+        adversary, instance_file, tmp_path, capsys):
+    out = tmp_path / "never.json"
+    assert run(["check-hybrid", "--instance", instance_file,
+                "--adversary", adversary], str(out)) == 3
+    assert repr(adversary) in _one_line_error(capsys)
+    assert not out.exists()
+
+
 def test_check_hybrid_rejection_budget_does_not_change_the_laws(
         instance_file, tmp_path):
     # check-hybrid computes exact laws, and a rejection adversary's law is
@@ -439,13 +450,22 @@ def _with_probs(probs):
     (_law_scheme(pp_len=0, setup={"length": 1, "probs": {"0": 1.0}},
                  source={"laws": {"0": {"length": 2,
                                         "probs": {"00": 1.0}}}}), "'pp_len'"),
+    (_law_scheme(source={"law": {"length": 2.0,
+                                 "probs": {"00": 0.5, "11": 0.5}}}),
+     "'length'"),
+    (_law_scheme(source={"law": {"length": "2",
+                                 "probs": {"00": 0.5, "11": 0.5}}}),
+     "'length'"),
+    (_law_scheme(puzz_len=0, source={"law": {"length": True,
+                                             "probs": {"0": 0.5, "1": 0.5}}}),
+     "'length'"),
 ], ids=["junk-x", "puzz-true", "puzz-string", "ans-float", "prob-x",
         "prob-string", "prob-nan", "prob-inf", "probs-list", "probs-string",
         "setup-null", "setup-beside-law", "setup-beside-circuit",
         "pp-beside-laws", "pp-int-law", "pp-not-bits", "pp-int-circuit",
         "laws-key-outside-setup", "pp-len-3", "pp-len-0-beside-pp",
         "pp-len-true", "pp-len-string", "pp-len-float", "pp-len-circuit",
-        "pp-len-laws"])
+        "pp-len-laws", "length-float", "length-string", "length-true"])
 def test_malformed_scheme_fields_are_input_errors(obj, field, tmp_path,
                                                   capsys):
     path = tmp_path / "scheme.json"

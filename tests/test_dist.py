@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncmlab
 from ncmlab.dist import (
     EmpiricalDist,
     FiniteDist,
@@ -18,7 +21,9 @@ from ncmlab.dist import (
     mixture,
     product,
     push_forward,
+    ragged_arange,
     ragged_blocks,
+    run_numbers,
     runs,
     sd,
 )
@@ -321,6 +326,18 @@ def test_code_constructor_merges_in_input_order():
     d = FiniteDist.from_codes(2, [3, 1, 3, 0, 1], [0.1, 0.2, 0.3, 0.0, 0.4])
     assert d.support == ["01", "11"]
     assert list(d.items()) == [("01", 0.2 + 0.4), ("11", 0.1 + 0.3)]
+    # each code's float sum depends on the order of its many weights, and
+    # the runs are long enough that an unstable sort reorders them
+    rng = np.random.default_rng(11)
+    codes = rng.integers(0, 3, size=400)
+    weights = rng.random(400) * 10.0 ** rng.integers(-17, 1, size=400)
+    d = FiniteDist.from_codes(2, codes, weights)
+    for code in range(3):
+        total = 0.0
+        for w in weights[codes == code].tolist():
+            total += w
+        assert d.weights[code] == total
+        assert total != sum(sorted(weights[codes == code].tolist()))
     with pytest.raises(StructureError):
         FiniteDist.from_codes(2, [4], [1.0])
     with pytest.raises(StructureError):
@@ -336,9 +353,34 @@ def test_code_constructor_merges_in_input_order():
 @pytest.mark.parametrize("keys", [[5], [1, 1, 1], [0, 0, 2, 3, 3, 3, 9]])
 def test_runs_group_a_sorted_array(keys):
     keys = np.array(keys)
-    starts, ids = runs(keys)
+    starts, lengths = runs(keys)
     assert np.array_equal(keys[starts], np.unique(keys))
-    assert np.array_equal(ids, np.unique(keys, return_inverse=True)[1])
+    assert np.array_equal(lengths, np.unique(keys, return_counts=True)[1])
+    assert np.array_equal(run_numbers(lengths),
+                          np.unique(keys, return_inverse=True)[1])
+
+
+@pytest.mark.parametrize("fields", [1, 2, 3])
+def test_runs_group_lexsorted_rows(fields):
+    rng = np.random.default_rng(fields)
+    rows = rng.integers(0, 3, size=(60, fields))
+    rows = rows[np.lexsort(rows.T[::-1])]
+    starts, lengths = runs(rows)
+    distinct, counts = np.unique(rows, axis=0, return_counts=True)
+    assert np.array_equal(rows[starts], distinct)
+    assert np.array_equal(lengths, counts)
+
+
+def test_ragged_arange_concatenates_each_range():
+    rng = np.random.default_rng(3)
+    starts = rng.integers(0, 50, size=40)
+    lengths = rng.integers(0, 6, size=40)
+    lengths[:2] = 0
+    expect = []
+    for s, k in zip(starts.tolist(), lengths.tolist()):
+        expect.extend(range(s, s + k))
+    assert ragged_arange(starts, lengths).tolist() == expect
+    assert ragged_arange(np.array([7]), np.array([3])).tolist() == [7, 8, 9]
 
 
 def test_ragged_blocks_reduce_like_each_row():
@@ -360,3 +402,23 @@ def test_ragged_blocks_reduce_like_each_row():
         seen.extend(rows.tolist())
     assert sorted(seen) == list(range(len(lengths)))
     assert list(ragged_blocks(np.zeros(0, dtype=np.int64))) == []
+
+
+def test_runs_and_ragged_indices_are_found_only_in_dist():
+    # one run finder and one ragged index: no module cuts sorted codes with
+    # np.unique or defines its own copy of the helpers
+    uniques, helpers = [], []
+    for path in sorted(pathlib.Path(ncmlab.__file__).parent.glob("*.py")):
+        module = path.stem
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "unique"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy")):
+                uniques.append(module)
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.lstrip("_") in ("runs", "run_numbers",
+                                                  "ragged_arange")):
+                helpers.append((module, node.name))
+    assert uniques == []
+    assert sorted(helpers) == [("dist", "ragged_arange"),
+                               ("dist", "run_numbers"), ("dist", "runs")]
