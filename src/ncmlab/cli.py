@@ -14,6 +14,7 @@ count, so they are functions of the config alone.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -190,14 +191,14 @@ def _report(command: str, config: dict, checks: list[Check],
 
 def _emit(report: dict, out_path: str | None):
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-        return
     try:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with (contextlib.nullcontext(sys.stdout) if out_path is None
+              else open(out_path, "w", encoding="utf-8")) as fh:
             fh.write(text)
+            fh.flush()  # a failed write shows here, not at exit
     except OSError as e:
-        raise ParseError(f"cannot write {out_path}: {e}") from e
+        where = "stdout" if out_path is None else out_path
+        raise ParseError(f"cannot write {where}: {e}") from e
 
 
 # -- subcommands --------------------------------------------------------------------

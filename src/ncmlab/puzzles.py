@@ -190,7 +190,7 @@ class ConstantAdversary(StepAdversary):
 
 def step_adversary(kind: str) -> StepAdversary:
     """Build a step adversary from a short name like 'rejection:5000'."""
-    name, _, arg = kind.partition(":")
+    name, colon, arg = kind.partition(":")
     if kind == "perfect":
         return PerfectAdversary()
     if kind == "oblivious":
@@ -198,12 +198,12 @@ def step_adversary(kind: str) -> StepAdversary:
     if name in ("perfect", "oblivious"):
         raise StructureError(f"the {name} adversary takes no argument: {kind!r}")
     if name == "rejection":
-        if arg and (not arg.isdecimal() or int(arg) < 1):
+        if colon and (not arg.isdecimal() or int(arg) < 1):
             raise StructureError(
                 f"rejection budget must be a positive integer, got {arg!r}")
         return RejectionAdversary(int(arg) if arg else DEFAULT_RETRY_BUDGET)
     if name == "constant":
-        return ConstantAdversary(arg or "0")
+        return ConstantAdversary(arg if colon else "0")
     raise StructureError(f"unknown adversary kind {kind!r}")
 
 

@@ -8,6 +8,9 @@ significant bit of a basis index, so basis state i corresponds to the
 string format(i, '0nb') and "the first m qubits" are the leading m
 characters.
 
+A circuit's ``u1q`` matrices are checked for unitarity once, in one
+product over their (k, 2, 2) stack, when it is built.
+
 Simulation is dense only, with a hard cap of 12 qubits. One kernel takes a
 state (2^n,) or a stack (k, 2^n) alike: ``apply_step_unitary`` evolves,
 ``outcome_probs`` weighs the outcomes and ``project`` collapses, keeping of
@@ -83,16 +86,16 @@ def branch_guard() -> int:
     return value
 
 
-def _check_unitary(mat: np.ndarray, what: str) -> np.ndarray:
-    mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise StructureError(f"{what} is not square: shape {mat.shape}")
+def _check_unitary(u1q: list[tuple[int, np.ndarray]]) -> None:
+    """Refuse the first non-unitary matrix of (step, u1q matrix) pairs."""
+    mats = np.asarray([mat for _, mat in u1q], dtype=complex).reshape(-1, 2, 2)
     # huge entries overflow to a NaN defect, which fails too
     with np.errstate(all="ignore"):
-        err = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
-    if not err <= UNITARY_TOL:
-        raise StructureError(f"{what} is not unitary (defect {err:.3g})")
-    return mat
+        err = abs(mats.conj().swapaxes(1, 2) @ mats - np.eye(2)).max((1, 2))
+    for (t, _), e in zip(u1q, err.tolist()):
+        if not e <= UNITARY_TOL:
+            raise StructureError(
+                f"step {t} u1q matrix is not unitary (defect {e:.3g})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,14 +141,18 @@ class Circuit:
                 f"of {MAX_QUBITS}")
         if not self.steps:
             raise StructureError("circuit needs at least one step")
-        for t, step in enumerate(self.steps, start=1):
-            if not 0 <= step.measure <= self.qubits:
-                raise StructureError(
-                    f"step {t} measures {step.measure} of {self.qubits} qubits")
-            for g in step.gates:
-                self._check_gate(g, t)
+        u1q: list[tuple[int, np.ndarray]] = []  # checked in one stack
+        try:
+            for t, step in enumerate(self.steps, start=1):
+                if not 0 <= step.measure <= self.qubits:
+                    raise StructureError(f"step {t} measures {step.measure} "
+                                         f"of {self.qubits} qubits")
+                for g in step.gates:
+                    self._check_gate(g, t, u1q)
+        finally:  # after a later fault too, so faults report in circuit order
+            _check_unitary(u1q)
 
-    def _check_gate(self, g: Gate, t: int):
+    def _check_gate(self, g: Gate, t: int, u1q: list):
         n = self.qubits
         for q in g.targets:
             if not 0 <= q < n:
@@ -168,7 +175,7 @@ class Circuit:
                     f"step {t}: u1q takes one target and a 2x2 matrix")
             if np.asarray(g.matrix).shape != (2, 2):
                 raise StructureError(f"step {t}: u1q matrix must be 2x2")
-            _check_unitary(g.matrix, f"step {t} u1q matrix")
+            u1q.append((t, g.matrix))
         elif g.name == "prep":
             amps = np.asarray(g.matrix)
             if amps is None or amps.shape != (1 << n,):
@@ -202,10 +209,10 @@ def initial_state(qubits: int) -> np.ndarray:
 
 def _apply_1q(states: np.ndarray, mat: np.ndarray, q: int,
               n: int) -> np.ndarray:
-    t = np.moveaxis(states.reshape((-1,) + (2,) * n), q + 1, 1)
-    # one (2, 2) @ (2, 2^(n-1)) product per state
-    out = np.asarray(mat, dtype=complex) @ t.reshape(len(t), 2, 1 << (n - 1))
-    return np.moveaxis(out.reshape(t.shape), 1, q + 1).reshape(states.shape)
+    t = states.reshape(-1, 1 << q, 2, 1 << (n - q - 1)).transpose(0, 2, 1, 3)
+    # one (2, 2) @ (2, 2^(n-1)) product per state, qubit q's axis first
+    out = mat @ t.reshape(len(t), 2, 1 << (n - 1))
+    return out.reshape(t.shape).transpose(0, 2, 1, 3).reshape(states.shape)
 
 
 def _apply_cnot(states: np.ndarray, ctrl: int, tgt: int,

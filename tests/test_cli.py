@@ -362,7 +362,8 @@ def test_u1q_with_a_nan_defect_is_refused_before_the_run(command, measure,
 
 
 @pytest.mark.parametrize("adversary", ["rejection:abc", "rejection:-3",
-                                       "rejection:0", "rejection:1.5"])
+                                       "rejection:0", "rejection:1.5",
+                                       "rejection:"])
 def test_check_hybrid_rejects_bad_rejection_budgets(adversary, instance_file,
                                                     tmp_path, capsys):
     out = tmp_path / "never.json"
@@ -382,6 +383,15 @@ def test_check_hybrid_refuses_an_argument_to_an_argless_adversary(
     assert run(["check-hybrid", "--instance", instance_file,
                 "--adversary", adversary], str(out)) == 3
     assert repr(adversary) in _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_check_hybrid_refuses_an_empty_constant_bit(instance_file, tmp_path,
+                                                   capsys):
+    out = tmp_path / "never.json"
+    assert run(["check-hybrid", "--instance", instance_file,
+                "--adversary", "constant:"], str(out)) == 3
+    assert "constant adversary bit" in _one_line_error(capsys)
     assert not out.exists()
 
 
@@ -555,3 +565,29 @@ def test_out_naming_a_directory_is_refused_before_the_run(
     assert run(["run-oracle", "--circuit", bell_file, "--mode", "sample",
                 "--seed", "1"], str(tmp_path)) == 3
     assert f"cannot write {tmp_path}" in _one_line_error(capsys)
+
+
+class _FullStdout:
+    """A stdout on a full disk: ``fails`` ("write" or "flush") raises
+    ENOSPC, as a write to /dev/full does."""
+
+    def __init__(self, fails):
+        self.fails = fails
+
+    def write(self, text):
+        if self.fails == "write":
+            raise OSError(28, "No space left on device")
+        return len(text)
+
+    def flush(self):
+        if self.fails == "flush":
+            raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("fails", ["write", "flush"])
+def test_a_failed_stdout_write_is_an_input_error(fails, bell_file,
+                                                 monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdout", _FullStdout(fails))
+    assert run(["run-oracle", "--circuit", bell_file]) == 3
+    err = _one_line_error(capsys)
+    assert "cannot write stdout" in err and "No space left" in err

@@ -159,7 +159,8 @@ ADVERSARIES = _mostly(
     st.sampled_from(["perfect", "oblivious", "constant:0", "constant:1",
                      "rejection:8"]),
     st.sampled_from(["constant", "constant:2", "rejection", "rejection:0",
-                     "rejection:-1", "rejection:x", "bogus", ""]))
+                     "rejection:-1", "rejection:x", "bogus", "",
+                     "rejection:", "constant:", "perfect:", "oblivious:"]))
 PARAMS = _mostly(
     st.sampled_from(["n=3,lm=2", "n=2,lm=1", "n=2,c=1",
                      "n=3,c=1,table=random", "n=3,c=2,table=balanced", ""]),

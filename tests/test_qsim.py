@@ -1,9 +1,12 @@
+import ast
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import ncmlab
 from ncmlab.dist import FiniteDist, sd
 from ncmlab.errors import (
     ImpossibleConditionError,
@@ -12,9 +15,11 @@ from ncmlab.errors import (
     StructureError,
 )
 from ncmlab.qsim import (
+    FIXED_1Q,
     Circuit,
     Gate,
     Step,
+    _apply_1q,
     apply_step_unitary,
     bell_circuit,
     branch_count_bound,
@@ -76,6 +81,37 @@ def test_non_unitary_rejected_at_load():
     with pytest.raises(StructureError):
         Circuit(qubits=1, steps=(
             Step(gates=(Gate("prep", (), matrix=np.array([1.0, 1.0])),)),))
+
+
+BAD_U1Q = Gate("u1q", (0,), matrix=np.array([[1.0, 0.0], [0.0, 0.0]]))
+# a fault in step 1 and the message it gives
+FAULTS = {
+    "u1q": (BAD_U1Q, "step 1 u1q matrix is not unitary (defect 1)"),
+    "target": (Gate("x", (5,)), "step 1: target 5 out of range"),
+    "shape": (Gate("u1q", (0,), matrix=np.eye(3)),
+              "step 1: u1q matrix must be 2x2"),
+}
+
+
+@pytest.mark.parametrize("first, second", [
+    ("u1q", "target"), ("target", "u1q"), ("u1q", "shape"),
+    ("shape", "u1q")])
+@pytest.mark.parametrize("same_step", [False, True])
+def test_the_first_fault_in_circuit_order_is_reported(first, second,
+                                                      same_step):
+    # the u1q matrices are checked in one stack, but a bad one still comes
+    # before a fault in a later gate, and after a fault in an earlier one
+    (a, message), (b, _) = FAULTS[first], FAULTS[second]
+    ok = Gate("h", (0,))
+    steps = ((Step(gates=(ok, a, b)),) if same_step else
+             (Step(gates=(ok, a)), Step(gates=(b, ok))))
+    with pytest.raises(StructureError) as info:
+        Circuit(qubits=2, steps=steps)
+    assert str(info.value) == message
+    # a step that measures too many qubits is a fault of that step
+    with pytest.raises(StructureError) as info:
+        Circuit(qubits=2, steps=(Step(gates=(a,)), Step((), measure=3)))
+    assert str(info.value) == message
 
 
 def test_qubit_cap_enforced():
@@ -231,3 +267,57 @@ def test_ghz_three_qubits():
         assert abs(n.prob - 0.5) <= ATOL
         u = n.outcomes[-1]
         assert abs(n.readout.prob(u + u[0]) - 1.0) <= ATOL
+
+
+# -- the one-qubit kernel against the moveaxis form it replaced ---------------------
+
+def _apply_1q_moveaxis(states, mat, q, n):
+    """The moveaxis one-qubit kernel, frozen as the bit-identity reference."""
+    t = np.moveaxis(states.reshape((-1,) + (2,) * n), q + 1, 1)
+    out = np.asarray(mat, dtype=complex) @ t.reshape(len(t), 2, 1 << (n - 1))
+    return np.moveaxis(out.reshape(t.shape), 1, q + 1).reshape(states.shape)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("k", [1, 3])
+def test_one_qubit_kernel_is_bit_identical_to_moveaxis(n, k):
+    rng = np.random.default_rng([n, k])
+    mats = dict(FIXED_1Q, u1q=random_unitary_2x2(rng))
+    states = (rng.normal(size=(k, 1 << n))
+              + 1j * rng.normal(size=(k, 1 << n)))
+    for q in range(n):
+        for name, mat in mats.items():
+            for given in (states, states[0]):
+                got = _apply_1q(given, mat, q, n)
+                want = _apply_1q_moveaxis(given, mat, q, n)
+                assert got.shape == want.shape == given.shape
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (n, k, q, name)
+
+
+def test_unitarity_is_checked_once_per_circuit():
+    # one stacked check in Circuit.__post_init__, no per-gate call, and no
+    # moveaxis kernel alongside the transposed one
+    moveaxis, calls = [], []
+
+    def visit(node, module, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            where = where + (node.name,)
+        if (isinstance(node, ast.Attribute) and node.attr == "moveaxis"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")):
+            moveaxis.append(module)
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None)
+            if name == "_check_unitary":
+                calls.append((module, ".".join(where)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for path in sorted(pathlib.Path(ncmlab.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, ())
+    assert moveaxis == []
+    assert calls == [("qsim", "Circuit.__post_init__")]
