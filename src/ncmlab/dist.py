@@ -201,7 +201,9 @@ def sd(p: FiniteDist, q: FiniteDist) -> float:
     at = np.minimum(np.searchsorted(q.codes, p.codes), len(q) - 1)
     shared = q.codes[at] == p.codes
     total = float(np.cumsum(abs(p.weights - q.weights[at] * shared))[-1])
-    rest = np.delete(q.weights, at[shared])
+    keep = np.ones(len(q), dtype=bool)
+    keep[at[shared]] = False
+    rest = q.weights[keep]
     return 0.5 * (total + float(np.cumsum(rest)[-1]) if len(rest) else total)
 
 

@@ -36,8 +36,9 @@ with transcripts and reads joined by shifts, and folded on the tree's level
 arrays (``qsim.Level``), with no law object per node. ``path_fold`` sums,
 over the leaves, Pr[leaf] times the product of one read law per step along
 the leaf's path; it takes each step's read laws as one ragged law over the
-level's nodes and extends every parent's codes in one gather per level:
-``oracle_exact`` and ``puzzles.hybrid_b_law`` use it, and
+level's nodes and extends every path prefix in one gather per level, in
+code order, so no built-in law is sorted: ``oracle_exact`` and
+``puzzles.hybrid_b_law`` use it, and
 ``puzzles.hybrid_laws`` runs the same per-level step (``_fold_level``) to
 share each genuine prefix among B(k)..B(T). ``q_t_law``,
 ``puzzles.step_pair_law`` and ``puzzles.InstancePuzzleSampler.joint_law``
@@ -266,47 +267,46 @@ def path_fold(circuit: Circuit,
     ``read_law(i, level)`` gives the read laws of all step-i nodes as one
     ragged law ``(rows, codes, weights)``: node ``rows[j]`` has the n-bit
     atom ``codes[j]`` with weight ``weights[j]``, rows ascending. Each
-    level extends every parent's (codes, weights) in one gather
-    (``_fold_level``), so a shared path prefix is multiplied out once and
-    equal codes merge in the order of a node-by-node fold. The leaf
-    probabilities multiply in last (``_fold_law``).
+    level extends every path prefix in one gather (``_fold_level``), so a
+    shared prefix is multiplied out once, in code order: built-in laws are
+    never sorted; a read law that repeats a code merges, in code order.
+    The leaf probabilities multiply in last (``_fold_law``).
     """
     levels, fold = enumerate_branches(circuit).levels, None
     for i in range(1, circuit.depth + 1):
-        fold = _fold_level(fold, levels[i], read_law(i, levels[i]),
+        fold = _fold_level(fold, levels, i, read_law(i, levels[i]),
                            circuit.qubits)
     return _fold_law(circuit, levels, fold)
 
 
-def _fold_level(fold: tuple | None, level: Level, law: tuple,
-               n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The fold of the path prefixes through ``level``: ``fold`` (None
+def _fold_level(fold: tuple | None, levels: tuple[Level, ...], i: int,
+                law: tuple, n: int) -> tuple[np.ndarray, ...]:
+    """The fold of the path prefixes through ``levels[i]``: ``fold`` (None
     before step 1) extended by ``law``, the level's ragged read law.
 
-    A fold is (codes, weights, sizes): node c of its last level holds
-    sizes[c] entries, each a code so far and its weight, in the order of a
-    node-by-node fold.
+    A fold is (codes, weights, node) in code order: a code so far, its
+    weight and its node's row. Each entry is extended by its node's run of
+    ``law`` (a parent's children sit together), 0 atoms if it has none.
     """
     rows, r, rw = law
-    atoms = np.bincount(rows, minlength=len(level.parent))
     if fold is None:
-        return r, rw, atoms
-    codes, weights, sizes = fold
-    runs = sizes[level.parent]
-    pick = ragged_arange((np.cumsum(sizes) - sizes)[level.parent], runs)
-    width = np.repeat(atoms, runs)
-    at = ragged_arange(np.repeat(np.cumsum(atoms) - atoms, runs), width)
-    return ((np.repeat(codes[pick], width) << n) | r[at],
-            np.repeat(weights[pick], width) * rw[at], runs * atoms)
+        return r, rw, rows
+    codes, weights, node = fold
+    atoms = np.bincount(levels[i].parent[rows],
+                        minlength=len(levels[i - 1].taus))
+    width = atoms[node]
+    at = ragged_arange((np.cumsum(atoms) - atoms)[node], width)
+    return ((np.repeat(codes, width) << n) | r[at],
+            np.repeat(weights, width) * rw[at], rows[at])
 
 
 def _fold_law(circuit: Circuit, levels: tuple[Level, ...],
               fold: tuple) -> FiniteDist:
     """The law of a fold through the leaves ``levels[-1]``, Pr[leaf]
     multiplied in last."""
-    codes, weights, sizes = fold
+    codes, weights, node = fold
     return FiniteDist.from_codes(circuit.depth * circuit.qubits, codes,
-                                 np.repeat(levels[-1].probs, sizes) * weights)
+                                 levels[-1].probs[node] * weights)
 
 
 def oracle_exact(circuit: Circuit) -> FiniteDist:

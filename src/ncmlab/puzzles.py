@@ -248,9 +248,9 @@ def hybrid_laws(x: str, circuit: Circuit,
     Each level's genuine reads and guesses are made once (``level_law``
     once per level). The genuine prefix G_k, levels 1..k read genuinely,
     is G_{k-1} extended by level k, and B(k) is G_k extended by the
-    guesses of levels k+1..T: each B(k) is extended level by level in
-    ``path_fold``'s entry order, with the leaf probabilities multiplied
-    in last.
+    guesses of levels k+1..T: each B(k) is folded level by level in code
+    order, as ``path_fold`` folds it, with the leaf probabilities
+    multiplied in last.
     """
     _guard_output_bits(circuit, "hybrid_laws")
     levels, depth, n = (enumerate_branches(circuit).levels, circuit.depth,
@@ -261,10 +261,10 @@ def hybrid_laws(x: str, circuit: Circuit,
     for k in range(depth + 1):
         fold = genuine
         for i in range(k + 1, depth + 1):
-            fold = _fold_level(fold, levels[i], guesses[i], n)
+            fold = _fold_level(fold, levels, i, guesses[i], n)
         laws.append(_fold_law(circuit, levels, fold))
         if k < depth:
-            genuine = _fold_level(genuine, levels[k + 1],
+            genuine = _fold_level(genuine, levels, k + 1,
                                   levels[k + 1].reads(), n)
     return tuple(laws)
 
