@@ -201,9 +201,7 @@ def sd(p: FiniteDist, q: FiniteDist) -> float:
     at = np.minimum(np.searchsorted(q.codes, p.codes), len(q) - 1)
     shared = q.codes[at] == p.codes
     total = float(np.cumsum(abs(p.weights - q.weights[at] * shared))[-1])
-    keep = np.ones(len(q), dtype=bool)
-    keep[at[shared]] = False
-    rest = q.weights[keep]
+    rest = np.delete(q.weights, at[shared])
     return 0.5 * (total + float(np.cumsum(rest)[-1]) if len(rest) else total)
 
 

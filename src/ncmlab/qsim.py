@@ -704,6 +704,12 @@ def _json_list(value, what: str) -> list:
     return value
 
 
+def _pair_to_complex(pair, what: str) -> complex:
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ParseError(f"{what} entries must be [re, im] pairs, got {pair!r}")
+    return complex(_json_number(pair[0], what), _json_number(pair[1], what))
+
+
 def _matrix_to_json(mat: np.ndarray) -> list:
     arr = np.asarray(mat, dtype=complex)
     if arr.ndim == 1:
@@ -712,25 +718,16 @@ def _matrix_to_json(mat: np.ndarray) -> list:
 
 
 def _matrix_from_json(obj, what: str, *, vector: bool) -> np.ndarray:
-    """A vector or matrix of [re, im] pairs. The entries are checked in one
-    pass, in row-major order, the pair shape before its numbers, so the
-    first fault is the one reported; then one float array is viewed as
-    complex."""
     if not _json_list(obj, what):
         raise ParseError(f"{what} must be a non-empty array")
-    entries = obj
-    if not vector:
-        if any(not isinstance(row, list) or len(row) != len(obj[0])
-               for row in obj):
-            raise ParseError(f"{what} must be an array of equal-length rows")
-        entries = [pair for row in obj for pair in row]
-    for pair in entries:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ParseError(
-                f"{what} entries must be [re, im] pairs, got {pair!r}")
-        for value in pair:
-            _json_number(value, what)
-    return np.array(obj, dtype=float).view(complex)[..., 0]
+    if vector:
+        return np.array([_pair_to_complex(p, what) for p in obj],
+                        dtype=complex)
+    if any(not isinstance(row, list) or len(row) != len(obj[0])
+           for row in obj):
+        raise ParseError(f"{what} must be an array of equal-length rows")
+    return np.array([[_pair_to_complex(p, what) for p in row] for row in obj],
+                    dtype=complex)
 
 
 def circuit_to_json(circuit: Circuit) -> dict:

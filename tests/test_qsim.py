@@ -37,8 +37,6 @@ from ncmlab.qsim import (
     walk,
 )
 
-from test_ncmo import _dense
-
 ATOL = 1e-9
 
 
@@ -257,6 +255,10 @@ def test_circuit_json_rejects_malformed():
             {"gates": [{"name": "u1q", "targets": [0],
                         "matrix": [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]}],
              "measure": 0}]})
+    for matrix in ([[]], [[], []]):
+        with pytest.raises(ParseError, match="u1q matrix must be 2x2"):
+            circuit_from_json({"qubits": 1, "steps": [{"gates": [
+                {"name": "u1q", "targets": [0], "matrix": matrix}]}]})
 
 
 def test_ghz_three_qubits():
@@ -323,100 +325,3 @@ def test_unitarity_is_checked_once_per_circuit():
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, ())
     assert moveaxis == []
     assert calls == [("qsim", "Circuit.__post_init__")]
-
-
-# -- the matrix loader against the per-entry conversion it replaced -----------
-
-def _per_entry_number(value, what):
-    try:
-        ok = not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        ok = False
-    if not ok:
-        raise ParseError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _per_entry_pair(pair, what):
-    if not isinstance(pair, list) or len(pair) != 2:
-        raise ParseError(f"{what} entries must be [re, im] pairs, got {pair!r}")
-    return complex(_per_entry_number(pair[0], what),
-                   _per_entry_number(pair[1], what))
-
-
-def _per_entry_matrix(obj, what, *, vector):
-    if not isinstance(obj, list):
-        raise ParseError(f"{what} must be an array, got {obj!r}")
-    if not obj:
-        raise ParseError(f"{what} must be a non-empty array")
-    if vector:
-        return np.array([_per_entry_pair(p, what) for p in obj],
-                        dtype=complex)
-    if any(not isinstance(row, list) or len(row) != len(obj[0])
-           for row in obj):
-        raise ParseError(f"{what} must be an array of equal-length rows")
-    return np.array([[_per_entry_pair(p, what) for p in row] for row in obj],
-                    dtype=complex)
-
-
-def _loaded_matrices(obj):
-    return [g.matrix for s in circuit_from_json(obj).steps for g in s.gates
-            if g.matrix is not None]
-
-
-def test_loaded_matrices_are_the_per_entry_conversion():
-    prep = np.random.default_rng(5).normal(size=8) + 0j
-    circuits = [random_circuit(np.random.default_rng([20261021, i]),
-                               max_qubits=4, max_steps=4) for i in range(40)]
-    circuits += [_dense(np.random.default_rng([20261021, i]), 4, (1, 2, 1))
-                 for i in range(5)]
-    circuits.append(Circuit(qubits=3, steps=(Step(gates=(
-        Gate("prep", (0, 1, 2), matrix=prep / np.linalg.norm(prep)),)),)))
-    seen = 0
-    for c in circuits:
-        obj = json.loads(json.dumps(circuit_to_json(c)))
-        gates = [g for s in obj["steps"] for g in s["gates"] if "matrix" in g]
-        for g, got in zip(gates, _loaded_matrices(obj), strict=True):
-            want = _per_entry_matrix(g["matrix"], "m",
-                                     vector=g["name"] == "prep")
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-            seen += 1
-    assert seen > 70
-
-
-@pytest.mark.parametrize("matrix", [
-    "x", [], [1, 2], [[1, 0], 3], [[[1, 0]], [[0, 1], [1, 0]]],
-    [[[1, 0], [0, 0]], [[0, 0], [1]]], [[[1, 0, 0], [0, 0]], [[0, 0], 1]],
-    [[[1, True], [0, 0]], [[0, 0], [1, 0]]],
-    [[[1, 0], ["0", 0]], [[0, 0], [1, 0]]],
-    [[[1, 0], [0, None]], [[0, 0], [1, 0]]],
-    [[[1, 0], [0, 0]], [[math.nan, 0], [1, 0]]],
-    [[[1, 0], [0, 0]], [[0, -math.inf], [1, 0]]],
-    [[[1, 0], [0, 10 ** 400]], [[0, 0], [1, 0]]],
-    # the first fault in row-major order wins, pair shape before numbers
-    [[[1, 0], [0, math.inf]], [[0, 0], [1]]],
-    [[[1, 0], [0]], [[0, "a"], [1, 0]]],
-    [[[1, 0], [False, [0]]], [[0, 0], [1, 0]]],
-])
-def test_loader_errors_are_the_per_entry_ones(matrix):
-    obj = {"qubits": 1, "steps": [{"gates": [
-        {"name": "u1q", "targets": [0], "matrix": matrix}]}]}
-    with pytest.raises(ParseError) as want:
-        _per_entry_matrix(matrix, "step 1 gate 1 'matrix'", vector=False)
-    with pytest.raises(ParseError) as got:
-        circuit_from_json(obj)
-    assert str(got.value) == str(want.value)
-
-
-@pytest.mark.parametrize("vector", [
-    [[1, 0], [0, 0], [0, 0], [True, 0]], [[1, 0], [0, 0], [0, 0], [0]],
-    [[1, 0], [0, math.nan], "x", [0, 0]], [[1, 0], 0.5, [0, 0], [0, 0]]])
-def test_prep_vector_errors_are_the_per_entry_ones(vector):
-    obj = {"qubits": 2, "steps": [{"gates": [
-        {"name": "prep", "targets": [0, 1], "matrix": vector}]}]}
-    with pytest.raises(ParseError) as want:
-        _per_entry_matrix(vector, "step 1 gate 1 'matrix'", vector=True)
-    with pytest.raises(ParseError) as got:
-        circuit_from_json(obj)
-    assert str(got.value) == str(want.value)
