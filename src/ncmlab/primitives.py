@@ -20,27 +20,30 @@ here as a documented behavior, not smoothed over.
 
 Both toys take their public table R as an int64 code array (entry k is R
 at key code k = x || theta) and build their games from it once per
-instance, on the registers' big-endian codes. The tag scheme holds one
-law: ``ToyMac.law``, the derived scheme's sampler law as the atoms of
-vk || m || sigma, and a signature verifies exactly when its code is one of
-those atoms. The commitment holds the receiver's table ok[y, b || key],
-read against the Born law P[y, b || key] of a sampler form's state. Exact
-game values are sums over the atoms and tables, and a collision attack
-draws all its trials in one ``ColSampler.draw`` batch and scores them in
-one comparison. The bit-string methods (``sign_law``, ``gen``, ``ver``,
-``r2``) remain the single-call interface; the string views they read
-(``table``, ``preimages``, ``classes``) are formatted on first read.
+instance, on the registers' big-endian codes. The tag scheme has one
+signing rule, ``_sign_atoms``, read by ``ToyMac.law`` over every key and
+message, by ``sign_law`` for one of each and by ``naive_forge_win_exact``
+for every key under the all-zero message. ``ToyMac.law`` is the derived
+scheme's sampler law as the atoms of vk || m || sigma, and a signature
+verifies exactly when its code is one of those atoms. The commitment
+holds the receiver's table ok[y, b || key], read against the Born law
+P[y, b || key] of a sampler form's state. Exact game values are sums over
+the atoms and tables, and a collision attack draws all its trials in one
+``ColSampler.draw`` batch and scores them in one comparison. The
+bit-string methods (``sign_law``, ``gen``, ``ver``, ``r2``) remain the
+single-call interface; the string views they read (``table``,
+``preimages``, ``classes``) are formatted on first read.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import FiniteDist, marginal, run_numbers, runs, sd
+from .dist import (FiniteDist, check_bits, marginal, ragged_arange,
+                   run_numbers, runs, sd)
 from .errors import (
     ImpossibleConditionError,
     InstanceTooLargeError,
@@ -55,8 +58,12 @@ from .qsim import born_weights
 MAX_MAC_QUBITS = 6
 MAX_COM_QUBITS = 4
 
-# set-bit counts of the codes below 2^MAX_MAC_QUBITS
-_POPCOUNT = np.array([bin(i).count("1") for i in range(1 << MAX_MAC_QUBITS)])
+# the ascending subsets of each mask below 2^MAX_MAC_QUBITS, mask after
+# mask: _SUBSET_COUNTS[f] of them, ending at _SUBSET_ENDS[f]
+_INSIDE = ((np.arange(1 << MAX_MAC_QUBITS)[None, :]
+            & ~np.arange(1 << MAX_MAC_QUBITS)[:, None]) == 0)
+_SUBSETS, _SUBSET_COUNTS = np.nonzero(_INSIDE)[1], _INSIDE.sum(axis=1)
+_SUBSET_ENDS = np.cumsum(_SUBSET_COUNTS)
 
 
 @dataclass(frozen=True)
@@ -137,12 +144,10 @@ class ToyMac:
         atoms of keys that share a vk merge in key order.
         """
         n, lm, a = self.n, self.lm, 2 * self.lm
-        w = _sign_weights(n, lm, np.arange(1 << lm)).reshape(-1)
-        at = np.flatnonzero(w)  # key << a | m || sigma
-        weights = w[at] * 2.0 ** -(2 * n + lm)
-        del w  # the dense weights would otherwise outlive the merge
-        codes = (self.vk_codes[at >> a] << a) | (at & ((1 << a) - 1))
-        return FiniteDist.from_codes(2 * n + a, codes, weights)
+        at, w = _sign_atoms(n, lm, np.arange(1 << (2 * n + lm)))
+        # rebound, so no key || m || sigma copy outlives the merge
+        at = (self.vk_codes[at >> a] << a) | (at & ((1 << a) - 1))
+        return FiniteDist.from_codes(2 * n + a, at, w * 2.0 ** -(2 * n + lm))
 
     def accepts(self, vk, ans):
         """``ver`` on codes, ans = m || sigma. A signature verifies when
@@ -164,20 +169,12 @@ class ToyMac:
 
     def sign_law(self, x: str, theta: str, m: str) -> FiniteDist:
         """Measure the first lm encoded qubits in bases chosen by m."""
-        if len(m) != self.lm:
-            raise StructureError(f"message must be {self.lm} bits")
-        per_bit = []
-        for i in range(self.lm):
-            if m[i] == theta[i]:
-                per_bit.append((x[i],))
-            else:
-                per_bit.append(("0", "1"))
-        probs = {}
-        for combo in itertools.product(*per_bit):
-            sigma = "".join(combo)
-            probs[sigma] = probs.get(sigma, 0.0) + 1.0
-        total = sum(probs.values())
-        return FiniteDist({k: v / total for k, v in probs.items()})
+        for s, k in ((x, self.n), (theta, self.n), (m, self.lm)):
+            if len(check_bits(s)) != k:
+                raise StructureError(f"expected {k} bits, got {s!r}")
+        at, w = _sign_atoms(self.n, self.lm,
+                            np.array([int(x + theta + m, 2)]))
+        return FiniteDist.from_codes(self.lm, at & ((1 << self.lm) - 1), w)
 
     def sign(self, x: str, theta: str, m: str,
              rng: np.random.Generator) -> str:
@@ -193,18 +190,19 @@ class ToyMac:
         return False
 
 
-def _sign_weights(n: int, lm: int, messages: np.ndarray) -> np.ndarray:
-    """w[k, i, sigma]: probability that signing messages[i] under key code
-    k = x || theta reads sigma. Codes are big-endian, like the strings."""
-    keys = np.arange(1 << (2 * n))
-    x = (keys >> (2 * n - lm)).astype(np.uint16)
-    theta = ((keys >> (n - lm)) & ((1 << lm) - 1)).astype(np.uint16)
-    agree = ~(messages.astype(np.uint16)[None, :] ^ theta[:, None])
-    agree &= np.uint16((1 << lm) - 1)
-    free = lm - _POPCOUNT[agree]
-    sigma = np.arange(1 << lm, dtype=np.uint16)
-    valid = ((sigma ^ x[:, None, None]) & agree[:, :, None]) == 0
-    return np.where(valid, np.ldexp(1.0, -free)[:, :, None], 0.0)
+def _sign_atoms(n: int, lm: int, pairs: np.ndarray):
+    """The atom codes key || m || sigma of signing each pair code key || m
+    (key = x || theta), ascending where ``pairs`` is, and their weights.
+    The positions f = m ^ theta are coin flips and the rest read x, so the
+    atoms are sigma = (x & ~f) | s for each subset s of f, ascending, each
+    of weight 2^-|f|: one gather from a table of every mask's subsets."""
+    key = pairs >> lm
+    free = (pairs ^ (key >> (n - lm))) & ((1 << lm) - 1)
+    lengths = _SUBSET_COUNTS[free]
+    fixed = (pairs << lm) | ((key >> (2 * n - lm)) & ~free)
+    at = np.repeat(fixed, lengths) | _SUBSETS[
+        ragged_arange(_SUBSET_ENDS[free] - lengths, lengths)]
+    return at, np.repeat(1.0 / lengths, lengths)
 
 
 def toy_mac(n: int, lm: int, rng: np.random.Generator) -> ToyMac:
@@ -286,37 +284,14 @@ def algorithm_c_mac(mac: ToyMac, rng: np.random.Generator,
         f"verification key never reappeared within {budget} reruns")
 
 
-def algorithm_c_mac_law(mac: ToyMac) -> FiniteDist:
-    """Exact law of the rejection sampler's (vk, m, sigma, m', sigma')."""
-    n, lm = mac.n, mac.lm
-    key_w = 1.0 / (1 << (2 * n))
-    m_w = 1.0 / (1 << lm)
-    probs: dict[str, float] = {}
-    for key, vk in mac.table.items():
-        x, theta = key[:n], key[n:]
-        pre = mac.preimages[vk]
-        for m in bits(lm):
-            first = mac.sign_law(x, theta, m)
-            for sigma, p1 in first.items():
-                base = key_w * m_w * p1
-                for x2, theta2 in pre:
-                    for m2 in bits(lm):
-                        second = mac.sign_law(x2, theta2, m2)
-                        for sigma2, p2 in second.items():
-                            flat = vk + m + sigma + m2 + sigma2
-                            w = base * m_w * p2 / len(pre)
-                            probs[flat] = probs.get(flat, 0.0) + w
-    return FiniteDist(probs)
-
-
 def naive_forge_win_exact(mac: ToyMac) -> float:
     """A classical forger: measure the signing key once in the computational
     basis and submit that readout under two fixed distinct messages."""
     n, lm = mac.n, mac.lm
     m0, m1 = 0, 1 << (lm - 1)
     # reading every qubit in the computational basis signs the message 0..0
-    reads = _sign_weights(n, lm, np.array([m0]))[:, 0]
-    vk, sigma = mac.vk_codes[:, None], np.arange(1 << lm)
+    at, reads = _sign_atoms(n, lm, np.arange(1 << 2 * n) << lm)
+    vk, sigma = mac.vk_codes[at >> 2 * lm], at & ((1 << lm) - 1)
     both = (mac.accepts(vk, (m0 << lm) | sigma)
             & mac.accepts(vk, (m1 << lm) | sigma))
     return float(np.sum(reads * both)) * 2.0 ** (-2 * n)

@@ -7,8 +7,12 @@ are that version's ``product``, ``mixture``, ``condition``, ``sd``,
 ``push_forward``, ``marginal`` and ``qsim.readout_dist``, with the input
 checks left out. Arguments may be any law with ``items``, ``prob`` and
 ``in``, so a code-backed ``FiniteDist`` goes in as it is. Tests compare the
-code algebra with these atom for atom, with ``==``.
+code algebra with these atom for atom, with ``==``. ``sign_law`` is the
+signing toy's string signer from before ``ToyMac.sign_law`` read the
+integer atom rule.
 """
+
+import itertools
 
 import numpy as np
 
@@ -96,3 +100,20 @@ def mixture(weighted):
         for k, v in d.items():
             out[k] = out.get(k, 0.0) + w * v
     return StrDist(out)
+
+
+def sign_law(x, theta, m):
+    """The first len(m) qubits of x encoded in bases theta, measured in
+    bases m: matching bases read x, the others are coin flips."""
+    per_bit = []
+    for i in range(len(m)):
+        if m[i] == theta[i]:
+            per_bit.append((x[i],))
+        else:
+            per_bit.append(("0", "1"))
+    probs = {}
+    for combo in itertools.product(*per_bit):
+        sigma = "".join(combo)
+        probs[sigma] = probs.get(sigma, 0.0) + 1.0
+    total = sum(probs.values())
+    return StrDist({k: v / total for k, v in probs.items()})

@@ -1,10 +1,11 @@
 """The toys' integer game tables against the string loops they replaced.
 
 The references below are the bit-string procedures the tables superseded:
-the signing law built atom by atom from ``sign_law``, the game values that
-call ``ToyMac.ver`` and ``ToyCommitment.r2`` per atom, the collision law's
-sum, and the collision sampler that draws puzzle, answer and answer' with
-three ``FiniteDist.sample`` calls per trial. The tables must give the same
+the signing law built atom by atom from the frozen string signer
+``string_laws.sign_law``, the game values that call ``ToyMac.ver`` and
+``ToyCommitment.r2`` per atom, the collision law's sum, and the collision
+sampler that draws puzzle, answer and answer' with three
+``FiniteDist.sample`` calls per trial. The tables must give the same
 exact values (to 1e-12) and, for the same seed, the same successes.
 """
 
@@ -16,13 +17,13 @@ import sys
 import numpy as np
 import pytest
 
+import string_laws
 from ncmlab.dcrpuzz import ColSampler, DcrScheme, col_law, random_law_scheme
 from ncmlab.dist import FiniteDist, marginal, push_forward
 from ncmlab.errors import StructureError
 from ncmlab.primitives import (
     ToyCommitment,
     ToyMac,
-    _sign_weights,
     balanced_table,
     bits,
     both_parity_mass,
@@ -48,7 +49,7 @@ def ref_mac_law(mac) -> FiniteDist:
     for key, vk in mac.table.items():
         x, theta = key[:n], key[n:]
         for m in bits(lm):
-            for sigma, p in mac.sign_law(x, theta, m).items():
+            for sigma, p in string_laws.sign_law(x, theta, m).items():
                 flat = vk + m + sigma
                 probs[flat] = probs.get(flat, 0.0) + key_w * m_w * p
     return FiniteDist(probs)
@@ -186,12 +187,40 @@ def test_mac_verification_table_is_ver():
             == mac.ver(vk, m, sigma)
 
 
-# the dense tables the atom law replaced: P[vk, m, sigma] built by one
-# block add per key, V = P > 0, and the win summed over key chunks
+@pytest.mark.parametrize("n", range(1, 5))
+def test_sign_law_is_the_string_signer(n):
+    for lm in range(1, n + 1):
+        mac = ToyMac(n, lm, np.arange(1 << 2 * n))
+        for x, theta, m in itertools.product(bits(n), bits(n), bits(lm)):
+            got = mac.sign_law(x, theta, m)
+            assert list(got.items()) \
+                == list(string_laws.sign_law(x, theta, m).items())
+
+
+# the dense tables the atom law replaced: the sign weights
+# w[key, m, sigma], P[vk, m, sigma] built by one block add per key,
+# V = P > 0, and the win summed over key chunks
+
+POPCOUNT = np.array([bin(i).count("1") for i in range(64)])
+
+
+def dense_sign_weights(n, lm, messages) -> np.ndarray:
+    """w[k, i, sigma]: probability that signing messages[i] under key code
+    k = x || theta reads sigma. Codes are big-endian, like the strings."""
+    keys = np.arange(1 << (2 * n))
+    x = (keys >> (2 * n - lm)).astype(np.uint16)
+    theta = ((keys >> (n - lm)) & ((1 << lm) - 1)).astype(np.uint16)
+    agree = ~(messages.astype(np.uint16)[None, :] ^ theta[:, None])
+    agree &= np.uint16((1 << lm) - 1)
+    free = lm - POPCOUNT[agree]
+    sigma = np.arange(1 << lm, dtype=np.uint16)
+    valid = ((sigma ^ x[:, None, None]) & agree[:, :, None]) == 0
+    return np.where(valid, np.ldexp(1.0, -free)[:, :, None], 0.0)
+
 
 def dense_mac_law(mac) -> np.ndarray:
     n, lm = mac.n, mac.lm
-    w = _sign_weights(n, lm, np.arange(1 << lm))
+    w = dense_sign_weights(n, lm, np.arange(1 << lm))
     w *= 2.0 ** -(2 * n + lm)
     law = np.zeros((1 << (2 * n), 1 << lm, 1 << lm))
     for k, vk in enumerate(mac.vk_codes.tolist()):
@@ -215,6 +244,14 @@ def dense_mac_break_exact(law: np.ndarray, lm: int) -> float:
     return float(seq_last(np.concatenate(terms)))
 
 
+def dense_naive_forge_win_exact(mac, law: np.ndarray) -> float:
+    n, lm = mac.n, mac.lm
+    reads = dense_sign_weights(n, lm, np.array([0]))[:, 0]
+    ok = law[mac.vk_codes] > 0.0
+    both = ok[:, 0] & ok[:, 1 << (lm - 1)]
+    return float(np.sum(reads * both)) * 2.0 ** (-2 * n)
+
+
 def _macs():
     for n, lm in [(4, 3), (5, 5), (6, 3)]:
         yield f"n{n}lm{lm}", toy_mac(n, lm, np.random.default_rng(n + lm))
@@ -232,6 +269,8 @@ def test_mac_atoms_equal_the_dense_tables(name, mac):
     assert np.array_equal(mac.law.codes, atoms)
     assert np.array_equal(mac.law.weights, flat[atoms])
     assert mac_break_exact(mac) == dense_mac_break_exact(dense, mac.lm)
+    assert naive_forge_win_exact(mac) == dense_naive_forge_win_exact(mac,
+                                                                     dense)
     a = 2 * mac.lm
     codes = np.arange(len(flat))
     assert np.array_equal(mac.accepts(codes >> a, codes & ((1 << a) - 1)),

@@ -13,11 +13,15 @@ two balanced classes of size 30) pins every quantity by hand:
   double-opener success           15/16
 """
 
+import ast
 import itertools
+import pathlib
 
 import numpy as np
 import pytest
 
+import string_laws
+from ncmlab import primitives
 from ncmlab.dist import FiniteDist, push_forward, sd
 from ncmlab.errors import ImpossibleConditionError, StructureError
 from ncmlab.dcrpuzz import col_law, col_oracle_gap
@@ -29,7 +33,6 @@ from ncmlab.primitives import (
     algorithm_c_com,
     algorithm_c_com_success,
     algorithm_c_mac,
-    algorithm_c_mac_law,
     audit_quantities,
     balanced_table,
     bits,
@@ -61,6 +64,51 @@ def test_sign_law_frozen_cases():
     assert sd(mac.sign_law("01", "00", "11"), FiniteDist.uniform(2)) <= 1e-12
     assert sd(mac.sign_law("01", "00", "01"),
               FiniteDist({"00": 0.5, "01": 0.5})) <= 1e-12
+
+
+@pytest.mark.parametrize("x,theta,m", [
+    ("0", "00", "00"),     # short x
+    ("011", "00", "00"),   # long x
+    ("01", "0", "00"),     # short theta
+    ("01", "00", "0a"),    # not a bit string
+    ("01", "00", "000"),   # long message
+    (1, "00", "00"),       # not a string
+])
+def test_sign_law_refuses_malformed_bit_strings(x, theta, m):
+    mac = identity_mac(2, 2)
+    with pytest.raises(StructureError):
+        mac.sign_law(x, theta, m)
+
+
+def test_the_signing_rule_is_written_once():
+    # the law, the signer and the forger read one atom rule, and no dense
+    # sign weights are picked over with flatnonzero
+    imports, flatnonzero, defs, callers = [], [], [], []
+
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            where = where + (node.name,)
+            defs.append(".".join(where))
+        if isinstance(node, ast.Import):
+            imports.extend(alias.name for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            imports.append(node.module)
+        if isinstance(node, ast.Attribute) and node.attr == "flatnonzero":
+            flatnonzero.append(".".join(where))
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "_sign_atoms"):
+            callers.append(".".join(where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    path = pathlib.Path(primitives.__file__)
+    visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    assert "itertools" not in imports
+    assert flatnonzero == []
+    assert "_sign_atoms" in defs and "_sign_weights" not in defs
+    assert sorted(callers) == ["ToyMac.law", "ToyMac.sign_law",
+                               "naive_forge_win_exact"]
 
 
 def test_sign_law_matches_circuit_simulation():
@@ -168,6 +216,30 @@ def test_duplicate_answers_never_win():
     assert report.successes == 0 and report.exact == 0.0
     with pytest.raises(StructureError):
         mac_break_via_collision(mac, 10, rng, source="telepathy")
+
+
+def algorithm_c_mac_law(mac) -> FiniteDist:
+    """Exact law of the rejection sampler's (vk, m, sigma, m', sigma'),
+    from the frozen string signer."""
+    n, lm = mac.n, mac.lm
+    key_w = 1.0 / (1 << (2 * n))
+    m_w = 1.0 / (1 << lm)
+    probs: dict[str, float] = {}
+    for key, vk in mac.table.items():
+        x, theta = key[:n], key[n:]
+        pre = mac.preimages[vk]
+        for m in bits(lm):
+            first = string_laws.sign_law(x, theta, m)
+            for sigma, p1 in first.items():
+                base = key_w * m_w * p1
+                for x2, theta2 in pre:
+                    for m2 in bits(lm):
+                        second = string_laws.sign_law(x2, theta2, m2)
+                        for sigma2, p2 in second.items():
+                            flat = vk + m + sigma + m2 + sigma2
+                            w = base * m_w * p2 / len(pre)
+                            probs[flat] = probs.get(flat, 0.0) + w
+    return FiniteDist(probs)
 
 
 def test_reference_sampler_law_equals_collisions():
