@@ -342,7 +342,9 @@ def ragged_blocks(lengths: np.ndarray):
         return
     starts = np.cumsum(lengths) - lengths
     order = np.argsort(lengths, kind="stable")
-    for rows in np.split(order, runs(lengths[order])[0][1:]):
+    firsts, counts = runs(lengths[order])
+    for lo, hi in zip(firsts.tolist(), (firsts + counts).tolist()):
+        rows = order[lo:hi]
         yield rows, starts[rows][:, None] + np.arange(lengths[rows[0]])
 
 

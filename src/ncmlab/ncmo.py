@@ -18,16 +18,20 @@ string per shot (``oracle_sample_many`` formats the same draws as bit
 strings). Every read, drawn or exact, takes its weights from
 ``qsim.born_weights``. The batched draw order, per shot group and step:
 one ``multinomial`` for the collapse, then one ``rng.random(size)`` for all
-of the group's reads, each child's share inverted through that child's
-readout cdf the way ``Generator.choice`` does it; that is the stream of one
-``choice`` call per child, so seeded reads are unchanged. When the
-circuit's branch tree is already built (``qsim.cached_levels``), the shot
-groups walk it: each split draws from the level's ``cond`` row and each
-child's block is the level's, so no state is evolved again. Without a
-built tree (sample-only callers, circuits over a guard), or from the step
-where a drawn outcome has no node because the tree pruned it, the groups
-evolve their parents' blocks with the ``qsim`` kernel instead; the values,
-and so the draws, are the same either way.
+of the group's reads. Each child's readout cdf is a row 2^(n - m_t) wide
+(its outcome's block) that ends at exactly 1.0, and every uniform is below
+1.0, so one branchless search over the stacked rows places all of the
+step's reads: each shot lands where a right ``searchsorted`` of its uniform
+in its child's row lands, the index ``Generator.choice`` picks. That is
+the stream of one ``choice`` call per child, so seeded reads are
+unchanged. When the circuit's branch tree is already built
+(``qsim.cached_levels``), the shot groups walk it: each split draws from
+the level's ``cond`` row and each child's block is the level's, so no
+state is evolved again. Without a built tree (sample-only callers,
+circuits over a guard), or from the step where a drawn outcome has no
+node because the tree pruned it, the groups evolve their parents' blocks
+with the ``qsim`` kernel instead; the values, and so the draws, are the
+same either way.
 ``q_t``, ``q1`` and ``q2`` expose the partial views used by the puzzle
 constructions.
 
@@ -160,13 +164,18 @@ def oracle_read_codes(circuit: Circuit, shots: int,
     it), the parents' blocks are widened and evolved as one stack instead.
     Draw order, group by group: one ``multinomial`` for the split (none
     when the step measures nothing), then one ``rng.random(size)`` for all
-    of the group's reads, each child's share inverted through that child's
-    readout cdf the way ``Generator.choice`` does it. That is the stream of
-    one ``choice`` call per child, so seeded reads are unchanged, and a
-    tree's blocks and weights equal the evolved ones bit for bit. The
-    per-shot law is identical to ``oracle_sample``; only the bookkeeping is
-    batched. ``sample_byte_bound`` is held to the byte cap before any
-    array is made.
+    of the group's reads. The splits are normalised and stacked as one
+    array each step. Then one search over the children's stacked readout
+    cdfs (``_search_reads``) places every read of the step, with no work
+    per child. It relies on each cdf row being 2^(n - m) wide, its
+    child's block, and ending at exactly 1.0, and finds what a right
+    ``searchsorted`` of each shot's uniform in its child's row finds: the
+    index ``Generator.choice`` picks. That is the stream of one ``choice``
+    call per child, so seeded reads are unchanged, and a tree's blocks and
+    weights equal the evolved ones bit for bit. The per-shot law is
+    identical to ``oracle_sample``; only the bookkeeping is batched.
+    ``sample_byte_bound`` is held to the byte cap before any array is
+    made.
     """
     if shots < 0:
         raise StructureError(f"shots must be nonnegative, got {shots}")
@@ -179,8 +188,9 @@ def oracle_read_codes(circuit: Circuit, shots: int,
     # group g: the block blocks[g] inside outcomes[g] of the last step's m
     # qubits, the next sizes[g] rows of reads and, while on the tree, the
     # node rows[g] of the last level
-    blocks, sizes, m, outcomes = initial_state(n)[None], [shots], 0, []
+    blocks, sizes, m, outcomes = initial_state(n)[None], [shots], 0, None
     rows = None if levels is None else np.zeros(1, dtype=np.int64)
+    u = np.empty(shots)
     for t, step in enumerate(circuit.steps):
         parent_blocks = blocks, m, outcomes
         m = step.measure
@@ -190,17 +200,16 @@ def oracle_read_codes(circuit: Circuit, shots: int,
         else:
             level = levels[t + 1]
             cond = level.cond[rows] if m else None
-        parents, outcomes, counts, uniforms = [], [], [], []
+        # split[g]: group g's shots per outcome, all on outcome 0 when the
+        # step measures nothing
+        pvals = cond / cond.sum(axis=1)[:, None] if m else None
+        split, lo = np.empty((len(sizes), 1 << m), dtype=np.int64), 0
         for g, size in enumerate(sizes):
-            if m:
-                split = rng.multinomial(size, cond[g] / cond[g].sum())
-                idx = np.flatnonzero(split)
-                parents.extend([g] * len(idx))
-                outcomes.extend(idx.tolist())
-                counts.extend(split[idx].tolist())
-            else:
-                counts.append(size)
-            uniforms.append(rng.random(size))
+            split[g] = rng.multinomial(size, pvals[g]) if m else size
+            rng.random(out=u[lo:lo + size])
+            lo += size
+        parents, outcomes = np.nonzero(split)
+        sizes = split[parents, outcomes].tolist()
         if rows is not None and m:
             codes = (levels[t].taus[rows[parents]] << m) | outcomes
             rows = level.taus.searchsorted(codes)
@@ -214,26 +223,51 @@ def oracle_read_codes(circuit: Circuit, shots: int,
         else:
             blocks = (project(evolved, m, parents, outcomes, cond) if m
                       else evolved)
-        cdf, u = _readout_cdfs(blocks), np.concatenate(uniforms)
-        ends = np.cumsum(counts).tolist()
-        for row, lo, hi in zip(cdf, [0] + ends, ends):
-            reads[lo:hi, t] = row.searchsorted(u[lo:hi], side="right")
-        sizes = counts
-        if m:
-            # every readout extends its branch's collapsing outcome: a read
-            # inside its block leaves the outcome's high bits to u_t
-            if np.any(reads[:, t] >> (n - m)):
-                raise RuntimeError(
-                    f"a step-{t + 1} readout disagrees with its branch")
-            reads[:, t] |= np.repeat(outcomes, sizes) << (n - m)
+        # every read must extend its branch's outcome u_t: a read lands
+        # inside its child's row, which must span just the child's block
+        if blocks.shape[1] != 1 << (n - m):
+            raise RuntimeError(
+                f"a step-{t + 1} readout disagrees with its branch")
+        _search_reads(_readout_cdfs(blocks), sizes, outcomes << (n - m), u,
+                      reads[:, t])
     return reads
+
+
+# shots per round of ``_search_reads``: its temporaries stay in cache
+SEARCH_CHUNK = 1 << 15
+
+
+def _search_reads(cdf: np.ndarray, sizes, highs: np.ndarray, u: np.ndarray,
+                  out: np.ndarray) -> None:
+    """Write each shot's read into ``out``: the next sizes[c] uniforms of
+    ``u`` are child c's, and each reads highs[c] |
+    ``cdf[c].searchsorted(u_i, side="right")``.
+
+    Every row is w = 2^b wide and ends at exactly 1.0, and every uniform
+    is below 1.0, so a shot's answer lies in [0, w) of its row. Starting
+    at the row in ``cdf.ravel()``, each round halves that range with the
+    right search's comparison ``cdf[j] <= u``: b rounds, none when w is
+    1, and no work per child. Shots go SEARCH_CHUNK at a time, so the
+    temporaries stay small.
+    """
+    w = cdf.shape[1]
+    b, flat = w.bit_length() - 1, cdf.ravel()
+    at = np.repeat(np.arange(0, flat.size, w), sizes)
+    for lo in range(0, len(at), SEARCH_CHUNK):
+        a, x = at[lo:lo + SEARCH_CHUNK], u[lo:lo + SEARCH_CHUNK]
+        step = w >> 1
+        while step:
+            a += (flat[a + (step - 1)] <= x) * step
+            step >>= 1
+        out[lo:lo + SEARCH_CHUNK] = (a & (w - 1)) | highs[a >> b]
 
 
 def sample_byte_bound(circuit: Circuit, shots: int) -> int:
     """Bytes ``shots`` batched calls may hold: 16 per shot and step plus 32
-    per shot. The sampler's peak is its int64 reads plus three shot-length
-    arrays of one step, and counting the reads (``empirical_codes``) holds
-    less than one more copy of them."""
+    per shot. The sampler's peak is its int64 reads plus two shot-length
+    arrays (the uniforms and the search positions) and the search's
+    chunk-sized temporaries, and counting the reads (``empirical_codes``)
+    holds less than one more copy of them."""
     return 16 * shots * (circuit.depth + 2)
 
 

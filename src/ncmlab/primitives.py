@@ -181,13 +181,18 @@ class ToyMac:
         return self.sign_law(x, theta, m).sample(rng)
 
     def ver(self, vk: str, m: str, sigma: str) -> bool:
-        if len(m) != self.lm or len(sigma) != self.lm:
+        """Whether some preimage x || theta of vk signs sigma on m: sigma
+        agrees with x outside f = m ^ theta, the rule of ``_sign_atoms``.
+        False unless vk has 2n bits and m and sigma have lm bits each."""
+        n, lm = self.n, self.lm
+        if not all(isinstance(s, str) and len(s) == k and not s.strip("01")
+                   for s, k in ((vk, 2 * n), (m, lm), (sigma, lm))):
             return False
-        for x, theta in self.preimages.get(vk, ()):
-            if all(sigma[i] == x[i]
-                   for i in range(self.lm) if m[i] == theta[i]):
-                return True
-        return False
+        keys = np.arange(1 << 2 * n)
+        free = int(m, 2) ^ (keys >> (n - lm))
+        wrong = (int(sigma, 2) ^ (keys >> (2 * n - lm))) & ~free
+        return bool(np.any((self.vk_codes == int(vk, 2))
+                           & (wrong & ((1 << lm) - 1) == 0)))
 
 
 def _sign_atoms(n: int, lm: int, pairs: np.ndarray):

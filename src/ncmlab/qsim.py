@@ -523,8 +523,9 @@ def check_bytes(size: int, what: str) -> None:
             f"{MAX_TREE_BYTES}")
 
 
-# circuit -> its tree's levels and root view; levels hold no reference back
-# to their circuit, so an entry goes when its circuit does
+# circuit -> its tree's levels, root view, path-count bound and byte bound;
+# levels hold no reference back to their circuit, so an entry goes when its
+# circuit does
 _TREES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -536,19 +537,22 @@ def enumerate_branches(circuit: Circuit) -> BranchTree:
     pruning. The path-count guard (NCMO_MAX_BRANCHES) and the byte cap
     (MAX_TREE_BYTES, against ``tree_byte_bound``) are checked on every
     call, before any state is allocated. The tree is built on the first
-    call for a circuit; later calls return the same levels and root.
+    call for a circuit; later calls return the same levels and root, and
+    check the current guards against the bounds kept with them.
     """
-    guard = branch_guard()
-    bound = branch_count_bound(circuit)
-    if bound > guard:
-        raise InstanceTooLargeError(
-            f"branch enumeration would visit up to {bound} paths, over the "
-            f"guard of {guard} (override with NCMO_MAX_BRANCHES)")
-    check_bytes(tree_byte_bound(circuit), "branch enumeration")
     cached = _TREES.get(circuit)
+    paths, size = ((branch_count_bound(circuit), tree_byte_bound(circuit))
+                   if cached is None else cached[2:])
+    guard = branch_guard()
+    if paths > guard:
+        raise InstanceTooLargeError(
+            f"branch enumeration would visit up to {paths} paths, over the "
+            f"guard of {guard} (override with NCMO_MAX_BRANCHES)")
+    check_bytes(size, "branch enumeration")
     if cached is None:
         levels = _build_tree(circuit)
-        cached = _TREES[circuit] = (levels, BranchNode(levels[0], 0))
+        cached = _TREES[circuit] = (levels, BranchNode(levels[0], 0), paths,
+                                    size)
     return BranchTree(circuit=circuit, root=cached[1], levels=cached[0])
 
 

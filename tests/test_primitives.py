@@ -24,7 +24,7 @@ import string_laws
 from ncmlab import primitives
 from ncmlab.dist import FiniteDist, push_forward, sd
 from ncmlab.errors import ImpossibleConditionError, StructureError
-from ncmlab.dcrpuzz import col_law, col_oracle_gap
+from ncmlab.dcrpuzz import col_law, col_oracle_gap, random_function_table
 from ncmlab.primitives import (
     AuditReport,
     GameReport,
@@ -160,6 +160,39 @@ def test_ver_rejects_flipped_matching_position():
     assert not mac.ver("0100", "00", "11")
     assert not mac.ver("0100", "00", "0")
     assert not mac.ver("9999", "00", "01")
+
+
+def _string_ver(mac, vk, m, sigma):
+    """``ToyMac.ver`` before it read the code rule, frozen as a reference:
+    a character loop over vk's preimages that checks only the lengths."""
+    if len(m) != mac.lm or len(sigma) != mac.lm:
+        return False
+    for x, theta in mac.preimages.get(vk, ()):
+        if all(sigma[i] == x[i] for i in range(mac.lm) if m[i] == theta[i]):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("m, sigma", [("11", "ab"), ("zz", "01"),
+                                      ("1x", "0q")])
+def test_ver_refuses_strings_that_are_not_bits(m, sigma):
+    mac = identity_mac(2, 2)
+    # the character loop never read the characters in these positions
+    assert _string_ver(mac, "0100", m, sigma)
+    assert not mac.ver("0100", m, sigma)
+
+
+def test_ver_agrees_with_the_string_rule_on_every_valid_input():
+    rng = np.random.default_rng(66)
+    for n in (1, 2, 3):
+        tables = (np.arange(1 << 2 * n), np.zeros(1 << 2 * n, dtype=int),
+                  random_function_table(rng, 2 * n, 2 * n))
+        for lm, table in itertools.product(range(1, n + 1), tables):
+            mac = ToyMac(n, lm, table)
+            for vk, m, sigma in itertools.product(bits(2 * n), bits(lm),
+                                                  bits(lm)):
+                assert (mac.ver(vk, m, sigma)
+                        == _string_ver(mac, vk, m, sigma))
 
 
 def test_mac_constructor_validation():
