@@ -517,10 +517,6 @@ class FnMachine(BaseMachine):
         return self._fn(x, eps, history)
 
 
-def oracle_backend(circuit: Circuit, rng: np.random.Generator) -> OracleOutput:
-    return oracle_sample(circuit, rng)
-
-
 def run_session(machine: BaseMachine, x: str, eps: float,
                 backend: Callable[[Circuit, np.random.Generator], OracleOutput],
                 rng: np.random.Generator) -> str:

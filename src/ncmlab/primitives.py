@@ -29,10 +29,10 @@ verifies exactly when its code is one of those atoms. The commitment
 holds the receiver's table ok[y, b || key], read against the Born law
 P[y, b || key] of a sampler form's state. Exact game values are sums over
 the atoms and tables, and a collision attack draws all its trials in one
-``ColSampler.draw`` batch and scores them in one comparison. The
-bit-string methods (``sign_law``, ``gen``, ``ver``, ``r2``) remain the
-single-call interface; the string views they read (``table``,
-``preimages``, ``classes``) are formatted on first read.
+``ColSampler.draw`` batch and scores them in one comparison. The code
+arrays are the only tables: the bit-string methods (``sign_law``, ``gen``,
+``ver``, ``preimage_list``, ``r2``) are the single-call interface, and
+parse their string arguments, or format their answers, at the call.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import (FiniteDist, check_bits, marginal, ragged_arange,
-                   run_numbers, runs, sd)
+from .dist import (FiniteDist, marginal, ragged_arange, run_numbers, runs,
+                   sd)
 from .errors import (
     ImpossibleConditionError,
     InstanceTooLargeError,
@@ -88,15 +88,26 @@ class GameReport:
         return self.successes / self.trials
 
 
-def bits(k: int) -> list[str]:
-    return [format(i, f"0{k}b") for i in range(1 << k)]
-
-
 def _check_qubits(n: int, low: int, cap: int):
     if n > cap:
         raise InstanceTooLargeError(f"n={n} is past the {cap}-qubit cap")
     if n < low:
         raise StructureError(f"n must be {low}..{cap}")
+
+
+def _codes(*fields) -> list[int] | None:
+    """The code of each field (s, k), or None unless every s is a k-bit
+    string: the one parse of the bit-string methods' arguments."""
+    if all(isinstance(s, str) and len(s) == k and not s.strip("01")
+           for s, k in fields):
+        return [int(s, 2) for s, _ in fields]
+    return None
+
+
+def _bit(b) -> int:
+    if b not in (0, 1):
+        raise StructureError(f"the committed bit must be 0 or 1, got {b!r}")
+    return int(b)
 
 
 # -- the signing toy ------------------------------------------------------------
@@ -120,20 +131,6 @@ class ToyMac:
         self.lm = lm
         # vk_codes[k]: the verification key's code at key code k = x || theta
         self.vk_codes = table_codes(table, 2 * n, 2 * n)
-
-    @functools.cached_property
-    def table(self) -> dict[str, str]:
-        """R as bit strings: x || theta -> vk."""
-        keys = bits(2 * self.n)
-        return dict(zip(keys, (keys[v] for v in self.vk_codes.tolist())))
-
-    @functools.cached_property
-    def preimages(self) -> dict[str, list[tuple[str, str]]]:
-        """vk -> its (x, theta) preimages, in key order."""
-        out: dict[str, list[tuple[str, str]]] = {}
-        for key, vk in self.table.items():
-            out.setdefault(vk, []).append((key[:self.n], key[self.n:]))
-        return out
 
     @functools.cached_property
     def law(self) -> FiniteDist:
@@ -161,7 +158,8 @@ class ToyMac:
         """(vk, signing key); the signing key is the encoded pair."""
         x = "".join(str(b) for b in rng.integers(0, 2, self.n))
         theta = "".join(str(b) for b in rng.integers(0, 2, self.n))
-        return self.table[x + theta], (x, theta)
+        vk = self.vk_codes[int(x + theta, 2)]
+        return format(vk, f"0{2 * self.n}b"), (x, theta)
 
     def vk_law(self) -> FiniteDist:
         return FiniteDist.from_codes(
@@ -169,12 +167,12 @@ class ToyMac:
 
     def sign_law(self, x: str, theta: str, m: str) -> FiniteDist:
         """Measure the first lm encoded qubits in bases chosen by m."""
-        for s, k in ((x, self.n), (theta, self.n), (m, self.lm)):
-            if len(check_bits(s)) != k:
-                raise StructureError(f"expected {k} bits, got {s!r}")
-        at, w = _sign_atoms(self.n, self.lm,
-                            np.array([int(x + theta + m, 2)]))
-        return FiniteDist.from_codes(self.lm, at & ((1 << self.lm) - 1), w)
+        n, lm = self.n, self.lm
+        if _codes((x, n), (theta, n), (m, lm)) is None:
+            raise StructureError(f"expected {n}, {n} and {lm} bits, got "
+                                 f"{x!r}, {theta!r} and {m!r}")
+        at, w = _sign_atoms(n, lm, np.array([int(x + theta + m, 2)]))
+        return FiniteDist.from_codes(lm, at & ((1 << lm) - 1), w)
 
     def sign(self, x: str, theta: str, m: str,
              rng: np.random.Generator) -> str:
@@ -185,13 +183,14 @@ class ToyMac:
         agrees with x outside f = m ^ theta, the rule of ``_sign_atoms``.
         False unless vk has 2n bits and m and sigma have lm bits each."""
         n, lm = self.n, self.lm
-        if not all(isinstance(s, str) and len(s) == k and not s.strip("01")
-                   for s, k in ((vk, 2 * n), (m, lm), (sigma, lm))):
+        codes = _codes((vk, 2 * n), (m, lm), (sigma, lm))
+        if codes is None:
             return False
+        vk, m, sigma = codes
         keys = np.arange(1 << 2 * n)
-        free = int(m, 2) ^ (keys >> (n - lm))
-        wrong = (int(sigma, 2) ^ (keys >> (2 * n - lm))) & ~free
-        return bool(np.any((self.vk_codes == int(vk, 2))
+        free = m ^ (keys >> (n - lm))
+        wrong = (sigma ^ (keys >> (2 * n - lm))) & ~free
+        return bool(np.any((self.vk_codes == vk)
                            & (wrong & ((1 << lm) - 1) == 0)))
 
 
@@ -323,22 +322,6 @@ class ToyCommitment:
         self.digest_codes = table_codes(table, 2 * n, n - c)
 
     @functools.cached_property
-    def table(self) -> dict[str, str]:
-        """R as bit strings: x || theta -> digest."""
-        digests = bits(self.digest_len)
-        return dict(zip(bits(2 * self.n),
-                        (digests[y] for y in self.digest_codes.tolist())))
-
-    @functools.cached_property
-    def classes(self) -> dict[str, tuple[list[str], list[str]]]:
-        """digest -> its preimages split by the committed bit x[0], as bit
-        strings, digests in the order of their first key."""
-        out: dict[str, tuple[list[str], list[str]]] = {}
-        for key, y in self.table.items():
-            out.setdefault(y, ([], []))[int(key[0])].append(key)
-        return out
-
-    @functools.cached_property
     def parity_counts(self) -> np.ndarray:
         """counts[b, y]: the keys of committed bit b that hash to digest y.
         The bit is the key code's top bit, so each half is one bincount."""
@@ -359,13 +342,21 @@ class ToyCommitment:
         return self.n - self.c
 
     def preimage_list(self, y: str, b: int) -> list[str]:
-        return self.classes.get(y, ([], []))[b]
+        """The keys of committed bit b that hash to y, ascending, in a new
+        list; none when y is not a digest."""
+        b, half = _bit(b), 1 << (2 * self.n - 1)
+        codes = _codes((y, self.digest_len))
+        if codes is None:
+            return []
+        keys, width = np.arange(b * half, (b + 1) * half), f"0{2 * self.n}b"
+        return [format(k, width)
+                for k in keys[self.digest_codes[keys] == codes[0]].tolist()]
 
     def s1_law(self, b: int) -> FiniteDist:
         half = 1 << (2 * self.n - 1)
         return FiniteDist.from_codes(self.digest_len,
                                      np.arange(1 << self.digest_len),
-                                     self.parity_counts[b] / half)
+                                     self.parity_counts[_bit(b)] / half)
 
     def s1(self, b: int, rng: np.random.Generator) -> tuple[str, list[str]]:
         """Commit: returns the digest and the residual preimage support."""
@@ -381,8 +372,13 @@ class ToyCommitment:
         return support[int(rng.integers(len(support)))]
 
     def r2(self, y: str, s2: str, b: int) -> bool:
-        return (len(s2) == 2 * self.n and self.table.get(s2) == y
-                and s2[0] == str(b))
+        """Whether opening s2 of bit b passes against digest y: its key
+        hashes to y and its first bit is b (given as 0, 1, "0" or "1")."""
+        codes = _codes((y, self.digest_len), (str(b), 1), (s2, 2 * self.n))
+        if codes is None:
+            return False
+        y, b, key = codes
+        return bool(self.opens[y, (b << (2 * self.n)) | key])
 
     def hiding_sd(self) -> float:
         return sd(self.s1_law(0), self.s1_law(1))
@@ -514,7 +510,7 @@ def algorithm_c_com(com: ToyCommitment, rng: np.random.Generator,
     """
     if form == "literal":
         y, support = com.s1(0, rng)
-        s2 = com.s2(0, list(support), rng)
+        s2 = com.s2(0, support, rng)
         regen = com.preimage_list(y, 0)
         s2p = com.s2(1, regen, rng)
         return y, s2, s2p
@@ -562,10 +558,10 @@ class AuditReport:
     """Exact per-digest opening quantities against a threshold 1 - 1/p."""
 
     p: float
-    success0: dict
+    success0: dict            # digest -> success, digests ascending
     success1: dict
-    g0: frozenset
-    g1: frozenset
+    g0: tuple                 # the digests at or past the threshold,
+    g1: tuple                 # ascending
     hiding_sd: float
     good_mass: float          # mass of G0 and G1's intersection under b=0
     bound: float              # good_mass * (1 - 1/p)^2
@@ -581,9 +577,9 @@ def audit_quantities(y_law: FiniteDist, success0: dict, success1: dict,
     if p < 1:
         raise StructureError("threshold parameter p must be >= 1")
     thr = 1.0 - 1.0 / p
-    g0 = frozenset(y for y in y_law.support if success0.get(y, 0.0) >= thr)
-    g1 = frozenset(y for y in y_law.support if success1.get(y, 0.0) >= thr)
-    good = sum(y_law.prob(y) for y in g0 & g1)
+    g0 = tuple(y for y in y_law.support if success0.get(y, 0.0) >= thr)
+    g1 = tuple(y for y in y_law.support if success1.get(y, 0.0) >= thr)
+    good = sum(y_law.prob(y) for y in g0 if y in g1)
     both = sum(y_law.prob(y) * success0.get(y, 0.0) * success1.get(y, 0.0)
                for y in y_law.support)
     return AuditReport(p=p, success0=dict(success0), success1=dict(success1),
@@ -596,7 +592,7 @@ def hiding_and_correctness_audit(com: ToyCommitment, p: float) -> AuditReport:
     the double-opening mass clears the thresholded lower bound."""
     y_law = com.s1_law(0)
     success0, success1 = {}, {}
-    for y in set(com.s1_law(0).support) | set(com.s1_law(1).support):
+    for y in sorted({*com.s1_law(0).support, *com.s1_law(1).support}):
         for b, out in ((0, success0), (1, success1)):
             pre = com.preimage_list(y, b)
             out[y] = (sum(com.r2(y, s, b) for s in pre) / len(pre)

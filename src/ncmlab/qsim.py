@@ -460,11 +460,6 @@ class BranchTree:
     def nodes_at(self, t: int) -> list[BranchNode]:
         return list(self.levels[t].nodes)
 
-    def level(self, t: int) -> tuple[list[BranchNode], np.ndarray]:
-        """The step-t nodes in tree order, with their transcripts as codes
-        (u_1 in the high bits)."""
-        return self.nodes_at(t), self.levels[t].taus
-
     def leaves(self) -> list[BranchNode]:
         return self.nodes_at(self.circuit.depth)
 

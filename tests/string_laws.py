@@ -9,7 +9,10 @@ checks left out. Arguments may be any law with ``items``, ``prob`` and
 ``in``, so a code-backed ``FiniteDist`` goes in as it is. Tests compare the
 code algebra with these atom for atom, with ``==``. ``sign_law`` is the
 signing toy's string signer from before ``ToyMac.sign_law`` read the
-integer atom rule.
+integer atom rule. ``mac_table``, ``com_table``, ``preimages``,
+``classes`` and ``r2`` are the toys' string views of their public tables
+and the commitment's string receiver, from before the code arrays became
+the only tables.
 """
 
 import itertools
@@ -117,3 +120,45 @@ def sign_law(x, theta, m):
         probs[sigma] = probs.get(sigma, 0.0) + 1.0
     total = sum(probs.values())
     return StrDist({k: v / total for k, v in probs.items()})
+
+
+def bits(k):
+    return [format(i, f"0{k}b") for i in range(1 << k)]
+
+
+def _table(codes, key_len, value_len):
+    values = bits(value_len)
+    return dict(zip(bits(key_len), (values[v] for v in codes.tolist())))
+
+
+def mac_table(mac):
+    """The signing toy's R as bit strings: x || theta -> vk, keys in order."""
+    return _table(mac.vk_codes, 2 * mac.n, 2 * mac.n)
+
+
+def com_table(com):
+    """The commitment's R as bit strings: x || theta -> digest."""
+    return _table(com.digest_codes, 2 * com.n, com.digest_len)
+
+
+def preimages(table, n):
+    """The signing toy's vk -> its (x, theta) preimages, in key order."""
+    out = {}
+    for key, vk in table.items():
+        out.setdefault(vk, []).append((key[:n], key[n:]))
+    return out
+
+
+def classes(table):
+    """The commitment's digest -> its preimages split by the committed bit
+    key[0], digests in the order of their first key."""
+    out = {}
+    for key, y in table.items():
+        out.setdefault(y, ([], []))[int(key[0])].append(key)
+    return out
+
+
+def r2(table, y, s2, b):
+    """The commitment's receiver: the key hashes to y and opens bit b."""
+    return (len(s2) == len(next(iter(table))) and table.get(s2) == y
+            and s2[0] == str(b))

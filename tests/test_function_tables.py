@@ -2,15 +2,21 @@
 
 ``random_function_table`` draws a whole table in one ``integers`` call; it
 must be the stream of the per-key scalar calls it replaced, and leave the
-generator where they left it. ``ColSampler.draw`` places each answer with
+generator where they left it. The toys keep no other table: ``gen``,
+``preimage_list`` and ``r2`` must answer as the frozen string views of
+``string_laws`` did. ``ColSampler.draw`` places each answer with
 one segmented binary search; the reference here is the lexicographic
 ``searchsorted`` over (row, cum) records that it replaced, which makes the
 same comparisons.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
+import string_laws
+from string_laws import bits
 from ncmlab.dcrpuzz import (
     ColSampler,
     DcrScheme,
@@ -20,7 +26,7 @@ from ncmlab.dcrpuzz import (
 )
 from ncmlab.dist import FiniteDist
 from ncmlab.primitives import (
-    bits,
+    ToyMac,
     com_to_dcrpuzz,
     mac_to_dcrpuzz,
     toy_commitment,
@@ -48,24 +54,41 @@ def test_table_draw_is_the_scalar_stream(in_len, out_len):
 
 
 def test_string_views_follow_the_codes():
-    mac = toy_mac(2, 1, np.random.default_rng(8))
-    assert mac.table == {k: format(v, "04b")
-                         for k, v in zip(bits(4), mac.vk_codes.tolist())}
-    preimages = {}
-    for key, vk in mac.table.items():
-        preimages.setdefault(vk, []).append((key[:2], key[2:]))
-    assert mac.preimages == preimages
-    for com in (toy_commitment(3, 1, np.random.default_rng(9)),
-                toy_commitment(4, 2, np.random.default_rng(10))):
+    # gen, preimage_list and r2 answer as the frozen string views of the
+    # tables did, on every key, digest and opening
+    for n in (1, 2, 3):
+        for mac in (toy_mac(n, 1, np.random.default_rng(8 + n)),
+                    ToyMac(n, n, np.arange(1 << 2 * n))):
+            table = string_laws.mac_table(mac)
+            rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+            seen = set()
+            for _ in range(16 << 2 * n):
+                # the string gen: two integers calls, then the string table
+                x = "".join(str(b) for b in ref.integers(0, 2, n))
+                theta = "".join(str(b) for b in ref.integers(0, 2, n))
+                assert mac.gen(rng) == (table[x + theta], (x, theta))
+                seen.add(x + theta)
+            assert len(seen) == 1 << 2 * n
+            assert rng.random() == ref.random()
+    for n, c in ((3, 1), (3, 2), (4, 1), (4, 2), (4, 3)):
+        com = toy_commitment(n, c, np.random.default_rng(10 * n + c))
         width = com.digest_len
-        assert com.table == {k: format(v, f"0{width}b")
-                             for k, v in zip(bits(2 * com.n),
-                                             com.digest_codes.tolist())}
-        classes = {}
-        for key, y in com.table.items():
-            classes.setdefault(y, ([], []))[int(key[0])].append(key)
-        assert com.classes == classes
-        half = 1 << (2 * com.n - 1)
+        table = string_laws.com_table(com)
+        classes = string_laws.classes(table)
+        ys = bits(width) + ["", "0" * (width + 1), "1" * (width - 1),
+                            "2" * width, "x" + "0" * (width - 1), None, 0]
+        openings = list(table) + ["", "0" * (2 * n - 1), "1" * (2 * n + 1),
+                                  "2" * (2 * n), "0" * (2 * n - 1) + "x"]
+        for y, b in itertools.product(ys, (0, 1)):
+            got = com.preimage_list(y, b)
+            assert got == classes.get(y, ([], []))[b]
+            for s2 in openings:
+                # the answers that moved: the string view's lookup of an
+                # opening that is no key found None, which equalled y = None
+                assert com.r2(y, s2, b) == (
+                    string_laws.r2(table, y, s2, b) and y is not None)
+        assert string_laws.r2(table, None, "0" * (2 * n - 1) + "x", 0)
+        half = 1 << (2 * n - 1)
         for b in (0, 1):
             counts = {y: len(pair[b]) for y, pair in classes.items()}
             assert com.parity_counts[b].tolist() == [

@@ -3,10 +3,11 @@
 The references below are the bit-string procedures the tables superseded:
 the signing law built atom by atom from the frozen string signer
 ``string_laws.sign_law``, the game values that call ``ToyMac.ver`` and
-``ToyCommitment.r2`` per atom, the collision law's sum, and the collision
-sampler that draws puzzle, answer and answer' with three
-``FiniteDist.sample`` calls per trial. The tables must give the same
-exact values (to 1e-12) and, for the same seed, the same successes.
+the frozen string receiver ``string_laws.r2`` per atom, the collision
+law's sum, and the collision sampler that draws puzzle, answer and
+answer' with three ``FiniteDist.sample`` calls per trial. The tables must
+give the same exact values (to 1e-12) and, for the same seed, the same
+successes.
 """
 
 import itertools
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 import string_laws
+from string_laws import bits, com_table, mac_table
 from ncmlab.dcrpuzz import ColSampler, DcrScheme, col_law, random_law_scheme
 from ncmlab.dist import FiniteDist, marginal, push_forward
 from ncmlab.errors import StructureError
@@ -25,7 +27,6 @@ from ncmlab.primitives import (
     ToyCommitment,
     ToyMac,
     balanced_table,
-    bits,
     both_parity_mass,
     com_break_exact,
     com_break_via_collision,
@@ -46,7 +47,7 @@ def ref_mac_law(mac) -> FiniteDist:
     key_w = 1.0 / (1 << (2 * n))
     m_w = 1.0 / (1 << lm)
     probs = {}
-    for key, vk in mac.table.items():
+    for key, vk in mac_table(mac).items():
         x, theta = key[:n], key[n:]
         for m in bits(lm):
             for sigma, p in string_laws.sign_law(x, theta, m).items():
@@ -85,7 +86,7 @@ def ref_naive_forge_win_exact(mac) -> float:
     m1 = "1" + "0" * (lm - 1)
     key_w = 1.0 / (1 << (2 * n))
     win = 0.0
-    for key, vk in mac.table.items():
+    for key, vk in mac_table(mac).items():
         x, theta = key[:n], key[n:]
         free = [i for i in range(lm) if theta[i] == "1"]
         for choice in itertools.product("01", repeat=len(free)):
@@ -100,14 +101,15 @@ def ref_naive_forge_win_exact(mac) -> float:
 
 def ref_com_break_exact(com, scheme) -> float:
     law = col_law(scheme, "")
+    table = com_table(com)
     p, a = scheme.puzz_len, scheme.ans_len
     win = 0.0
     for flat, w in law.items():
         y = flat[:p]
         b0, s0 = flat[p], flat[p + 1:p + a]
         b1, s1 = flat[p + a], flat[p + a + 1:]
-        if (b0 != b1 and com.r2(y, s0, int(b0))
-                and com.r2(y, s1, int(b1))):
+        if (b0 != b1 and string_laws.r2(table, y, s0, int(b0))
+                and string_laws.r2(table, y, s1, int(b1))):
             win += w
     return win
 
@@ -115,8 +117,8 @@ def ref_com_break_exact(com, scheme) -> float:
 def ref_both_parity_mass(com, form) -> float:
     y_law = push_forward(com_to_dcrpuzz(com, form).samp_law(""),
                          lambda s: s[:com.digest_len])
-    return sum(p for y, p in y_law.items()
-               if com.preimage_list(y, 0) and com.preimage_list(y, 1))
+    classes = string_laws.classes(com_table(com))
+    return sum(p for y, p in y_law.items() if all(classes[y]))
 
 
 def ref_col_draws(law: FiniteDist, p_len: int, trials: int, rng):
@@ -334,6 +336,7 @@ def test_commitment_tables_match_the_string_loops(case, form):
     assert abs(exact - ref_com_break_exact(com, scheme)) <= 1e-12
     assert both_parity_mass(com, form) == ref_both_parity_mass(com, form)
     law = scheme.samp_law("")
+    table = com_table(com)
     for source in ("col", "duplicate"):
         seed = 3 * n + c
         report = com_break_via_collision(com, 400,
@@ -345,8 +348,9 @@ def test_commitment_tables_match_the_string_loops(case, form):
         def wins(y, a, a2):
             if source == "duplicate":
                 a2 = a
-            return (a[0] != a2[0] and com.r2(y, a[1:], int(a[0]))
-                    and com.r2(y, a2[1:], int(a2[0])))
+            return (a[0] != a2[0]
+                    and string_laws.r2(table, y, a[1:], int(a[0]))
+                    and string_laws.r2(table, y, a2[1:], int(a2[0])))
 
         assert report.successes == ref_successes(triples, wins)
         assert report.exact == (exact if source == "col" else 0.0)

@@ -25,7 +25,6 @@ from ncmlab.ncmo import (
     PdqpInstanceFamily,
     decision_as_sampling,
     exact_oracle_backend_law,
-    oracle_backend,
     oracle_exact,
     oracle_read_codes,
     oracle_sample,
@@ -245,7 +244,7 @@ def test_run_session_and_exact_law_agree():
     machine = _single_query_machine(c, lambda o: o.reads[0])
     law = session_law(machine, "", 0.5, exact_oracle_backend_law)
     assert sd(law, FiniteDist({"00": 0.5, "11": 0.5})) <= ATOL
-    draws = [run_session(machine, "", 0.5, oracle_backend, rng)
+    draws = [run_session(machine, "", 0.5, oracle_sample, rng)
              for _ in range(4000)]
     assert sd(empirical(draws).to_dist(), law) <= 0.03
 
@@ -278,7 +277,7 @@ def test_query_bound_enforced():
     machine = FnMachine(step, query_bound=2)
     rng = np.random.default_rng(0)
     with pytest.raises(ProtocolError):
-        run_session(machine, "", 0.5, oracle_backend, rng)
+        run_session(machine, "", 0.5, oracle_sample, rng)
     with pytest.raises(ProtocolError):
         session_law(machine, "", 0.5, exact_oracle_backend_law)
 
@@ -426,7 +425,7 @@ def test_ragged_reads_equal_the_string_walk(seed):
     c = _ragged_circuit(seed)
     # the step-1 children have four support sizes and pruned weights
     born = [np.abs(node.state) ** 2
-            for node in enumerate_branches(c).level(1)[0]]
+            for node in enumerate_branches(c).levels[1].nodes]
     assert len({int((w > qsim.READOUT_PRUNE_TOL).sum()) for w in born}) == 4
     assert any(((w > 0) & (w <= qsim.READOUT_PRUNE_TOL)).any() for w in born)
     _assert_reads_are_the_reference(c, 2000, seed)

@@ -15,12 +15,16 @@ two balanced classes of size 30) pins every quantity by hand:
 
 import ast
 import itertools
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import string_laws
+from string_laws import bits, com_table, mac_table
 from ncmlab import primitives
 from ncmlab.dist import FiniteDist, push_forward, sd
 from ncmlab.errors import ImpossibleConditionError, StructureError
@@ -35,7 +39,6 @@ from ncmlab.primitives import (
     algorithm_c_mac,
     audit_quantities,
     balanced_table,
-    bits,
     both_parity_mass,
     com_break_exact,
     com_break_via_collision,
@@ -111,6 +114,24 @@ def test_the_signing_rule_is_written_once():
                                "naive_forge_win_exact"]
 
 
+def test_the_code_arrays_are_the_only_tables():
+    # no string view of a table is defined, and no method reads one
+    tree = ast.parse(pathlib.Path(primitives.__file__).read_text(
+        encoding="utf-8"))
+    defined = {node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef)}
+    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+        defined |= {f"{cls.name}.{node.name}" for node in cls.body
+                    if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"bits", "ToyMac.table", "ToyMac.preimages",
+                          "ToyCommitment.table", "ToyCommitment.classes"}
+    reads = [node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "self"
+             and node.attr in ("table", "classes")]
+    assert reads == []
+
+
 def test_sign_law_matches_circuit_simulation():
     # encode x in bases theta, then measure in bases m: X gates write x,
     # H gates set the encoding, a second H layer sets the readout basis
@@ -145,9 +166,10 @@ def test_matching_bases_reproduce_the_key():
 def test_honest_signatures_always_verify():
     rng = np.random.default_rng(32)
     mac = toy_mac(3, 2, rng)
+    table = mac_table(mac)
     for key in bits(6):
         x, theta = key[:3], key[3:]
-        vk = mac.table[key]
+        vk = table[key]
         for m in bits(2):
             for sigma in mac.sign_law(x, theta, m).support:
                 assert mac.ver(vk, m, sigma)
@@ -162,12 +184,15 @@ def test_ver_rejects_flipped_matching_position():
     assert not mac.ver("9999", "00", "01")
 
 
-def _string_ver(mac, vk, m, sigma):
+def _string_ver(mac, vk, m, sigma, pre=None):
     """``ToyMac.ver`` before it read the code rule, frozen as a reference:
-    a character loop over vk's preimages that checks only the lengths."""
+    a character loop over vk's preimages that checks only the lengths.
+    ``pre`` is the frozen preimage view, built here when not given."""
+    if pre is None:
+        pre = string_laws.preimages(mac_table(mac), mac.n)
     if len(m) != mac.lm or len(sigma) != mac.lm:
         return False
-    for x, theta in mac.preimages.get(vk, ()):
+    for x, theta in pre.get(vk, ()):
         if all(sigma[i] == x[i] for i in range(mac.lm) if m[i] == theta[i]):
             return True
     return False
@@ -189,10 +214,11 @@ def test_ver_agrees_with_the_string_rule_on_every_valid_input():
                   random_function_table(rng, 2 * n, 2 * n))
         for lm, table in itertools.product(range(1, n + 1), tables):
             mac = ToyMac(n, lm, table)
+            pre = string_laws.preimages(mac_table(mac), n)
             for vk, m, sigma in itertools.product(bits(2 * n), bits(lm),
                                                   bits(lm)):
                 assert (mac.ver(vk, m, sigma)
-                        == _string_ver(mac, vk, m, sigma))
+                        == _string_ver(mac, vk, m, sigma, pre))
 
 
 def test_mac_constructor_validation():
@@ -258,9 +284,11 @@ def algorithm_c_mac_law(mac) -> FiniteDist:
     key_w = 1.0 / (1 << (2 * n))
     m_w = 1.0 / (1 << lm)
     probs: dict[str, float] = {}
-    for key, vk in mac.table.items():
+    table = mac_table(mac)
+    preimages = string_laws.preimages(table, n)
+    for key, vk in table.items():
         x, theta = key[:n], key[n:]
-        pre = mac.preimages[vk]
+        pre = preimages[vk]
         for m in bits(lm):
             first = string_laws.sign_law(x, theta, m)
             for sigma, p1 in first.items():
@@ -300,9 +328,10 @@ def test_naive_forger_against_brute_force():
         # independent route: enumerate keys and full single-measurement
         # readouts with their exact weights
         win = 0.0
+        table = mac_table(mac)
         for key in bits(4):
             x, theta = key[:2], key[2:]
-            vk = mac.table[key]
+            vk = table[key]
             for z in bits(2):
                 w = 1.0
                 for i in range(2):
@@ -361,6 +390,30 @@ def test_receiver_rejects_garbage():
     assert not CRAFTED.r2(y, s2[:-1], 0)     # wrong width
 
 
+@pytest.mark.parametrize("b", [-1, 2, "1", None])
+def test_committed_bit_must_be_zero_or_one(b):
+    rng = np.random.default_rng(45)
+    for call in (lambda: CRAFTED.s1_law(b), lambda: CRAFTED.s1(b, rng),
+                 lambda: CRAFTED.preimage_list("00", b),
+                 lambda: CRAFTED.preimage_list("zz", b)):
+        with pytest.raises(StructureError):
+            call()
+
+
+def test_returned_lists_are_not_shared():
+    com = ToyCommitment(3, 1, balanced_table(3, 1))  # CRAFTED's own table
+    rng = np.random.default_rng(46)
+    want = {(y, b): com.preimage_list(y, b) for y in bits(2) for b in (0, 1)}
+    for b in (0, 1):
+        for _ in range(20):
+            y, support = com.s1(b, rng)
+            support.append("000000")
+            com.preimage_list(y, b).clear()
+            com.preimage_list(y, 1 - b).append("111111")
+    assert {key: com.preimage_list(*key) for key in want} == want
+    assert len(want["00", 0]) == 15
+
+
 def test_commitment_constructor_validation():
     with pytest.raises(StructureError):
         ToyCommitment(1, 1, np.zeros(4, dtype=np.int64))
@@ -387,13 +440,14 @@ def test_random_table_correctness():
 def test_coherent_scheme_structure():
     scheme = com_to_dcrpuzz(CRAFTED, "coherent")
     samp = scheme.samp_law("")
+    table = com_table(CRAFTED)
     y_marg = push_forward(samp, lambda s: s[:2])
     assert sd(y_marg, FiniteDist({"00": 15 / 32, "01": 15 / 32,
                                   "10": 1 / 32, "11": 1 / 32})) <= 1e-12
     for flat in samp.support:
         b, key = flat[2], flat[3:]
         assert b == key[0]                    # the bit rides on the key
-        assert CRAFTED.table[key] == flat[:2]
+        assert table[key] == flat[:2]
     with pytest.raises(StructureError):
         com_to_dcrpuzz(CRAFTED, "diagonal")
 
@@ -422,7 +476,7 @@ def test_coherent_break_equals_parity_product_formula(n, c, seed):
     # independent route: success is E_y[2 p0(y) p1(y)] over the digest law
     total = 1 << (2 * n)
     expect = 0.0
-    for y, (zero, one) in com.classes.items():
+    for y, (zero, one) in string_laws.classes(com_table(com)).items():
         size = len(zero) + len(one)
         p0, p1 = len(zero) / size, len(one) / size
         expect += (size / total) * 2 * p0 * p1
@@ -500,13 +554,32 @@ def test_double_opener_raises_on_single_parity_digests():
 def test_audit_on_the_crafted_table():
     report = hiding_and_correctness_audit(CRAFTED, p=8)
     # digests are scanned under the bit-0 commit law, so "11" never enters
-    assert report.g0 == frozenset({"00", "01", "10"})
-    assert report.g1 == frozenset({"00", "01"})
+    assert report.g0 == ("00", "01", "10")
+    assert report.g1 == ("00", "01")
     assert report.good_mass == pytest.approx(15 / 16, abs=1e-12)
     assert report.bound == pytest.approx(15 / 16 * (7 / 8) ** 2, abs=1e-12)
     assert report.both_open == pytest.approx(15 / 16, abs=1e-12)
     assert report.hiding_sd == pytest.approx(1 / 16, abs=1e-12)
     assert report.holds
+
+
+def test_audit_does_not_depend_on_the_hash_seed():
+    script = (
+        "import numpy as np\n"
+        "from ncmlab.primitives import *\n"
+        "for com in (ToyCommitment(3, 1, balanced_table(3, 1)),\n"
+        "            toy_commitment(4, 2, np.random.default_rng(9))):\n"
+        "    print(repr(hiding_and_correctness_audit(com, p=8)))\n")
+    outs = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        outs.add(subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True,
+                                check=True).stdout)
+    assert len(outs) == 1
+    ordered = "success0={'00': 1.0, '01': 1.0, '10': 1.0, '11': 0.0}"
+    assert ordered in outs.pop()
 
 
 def test_audit_degenerate_threshold():
