@@ -7,6 +7,8 @@ sampled counts (EmpiricalDist) are held on codes too. Bit strings appear
 only at the boundary: the mapping constructor, ``point``, JSON, ``items``,
 ``support``, ``repr``, the key of ``prob`` and ``in``, drawn samples,
 ``push_forward``'s map, ``empirical``'s input and ``EmpiricalDist.counts``.
+``check_bits`` is the package's one test of a bit string (of a given
+width where one is asked for); every module reads its arguments with it.
 Arithmetic is plain double precision and every sum runs left to right in
 code order; a law read from bit strings is valid when every entry is
 nonnegative and the total sits within VALID_TOL of 1.
@@ -34,12 +36,14 @@ VALID_TOL = 1e-9
 MAX_CODE_BITS = 62  # int64 codes, with room to shift a prefix in
 
 
-def check_bits(s: str) -> str:
-    """Validate a bit string and hand it back."""
+def check_bits(s: str, width: int | None = None) -> str:
+    """Validate a bit string, of ``width`` characters if given; return it."""
     if not isinstance(s, str):
         raise StructureError(f"expected a bit string, got {type(s).__name__}")
     if s.strip("01"):
         raise StructureError(f"not a bit string: {s!r}")
+    if width is not None and len(s) != width:
+        raise StructureError(f"expected {width} bits, got {s!r}")
     return s
 
 
@@ -122,9 +126,10 @@ class FiniteDist:
     def _index(self, s) -> int | None:
         """Position of key s in the support, None for any other value (a
         non-string, a non-bit string, a wrong length)."""
-        if not isinstance(s, str) or len(s) != self.length or s.strip("01"):
+        try:
+            code = int(check_bits(s, self.length) or "0", 2)
+        except StructureError:
             return None
-        code = int(s or "0", 2)
         i = int(np.searchsorted(self.codes, code))
         return i if i < len(self) and self.codes[i] == code else None
 
@@ -168,12 +173,6 @@ class FiniteDist:
         cum = np.cumsum(self.weights)
         idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
         return self._key(int(self.codes[min(idx, len(self) - 1)]))
-
-    def sample_many(self, rng: np.random.Generator, shots: int) -> list[str]:
-        p = self.weights / self.weights.sum()
-        picks = rng.choice(len(self), size=shots, p=p)
-        keys = self.support
-        return [keys[i] for i in picks]
 
     # -- serialization ------------------------------------------------------
 

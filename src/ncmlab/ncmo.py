@@ -391,12 +391,8 @@ def _validate_transcript(circuit: Circuit, tau: Transcript):
     if len(tau) > circuit.depth:
         raise StructureError(
             f"transcript of length {len(tau)} for a depth-{circuit.depth} circuit")
-    for i, u in enumerate(tau):
-        check_bits(u)
-        if len(u) != circuit.steps[i].measure:
-            raise StructureError(
-                f"transcript entry {i + 1} has width {len(u)}, step measures "
-                f"{circuit.steps[i].measure}")
+    for u, step in zip(tau, circuit.steps):
+        check_bits(u, step.measure)
 
 
 def q1_law(circuit: Circuit, tau: Transcript,
@@ -408,7 +404,7 @@ def q1_law(circuit: Circuit, tau: Transcript,
     leaves = tree.levels[circuit.depth]
     rest = sum(circuit.measure_widths()[len(tau):])
     # the leaves below tau are those whose transcript codes begin with it
-    below = leaves.taus >> rest == int("".join(tau) or "0", 2)
+    below = leaves.taus >> rest == base.level.taus[base.row]
     return FiniteDist.from_codes(rest, leaves.taus[below] & ((1 << rest) - 1),
                                  leaves.probs[below] / base.prob)
 

@@ -32,7 +32,9 @@ the atoms and tables, and a collision attack draws all its trials in one
 ``ColSampler.draw`` batch and scores them in one comparison. The code
 arrays are the only tables: the bit-string methods (``sign_law``, ``gen``,
 ``ver``, ``preimage_list``, ``r2``) are the single-call interface, and
-parse their string arguments, or format their answers, at the call.
+parse their string arguments with ``dist.check_bits`` (a committed bit
+with ``_bit``), or format their answers, at the call. The commitment's
+audits score openings from ``parity_counts`` and ``opens``.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import (FiniteDist, marginal, ragged_arange, run_numbers, runs,
-                   sd)
+from .dist import (FiniteDist, check_bits, marginal, ragged_arange,
+                   run_numbers, runs, sd)
 from .errors import (
     ImpossibleConditionError,
     InstanceTooLargeError,
@@ -95,17 +97,9 @@ def _check_qubits(n: int, low: int, cap: int):
         raise StructureError(f"n must be {low}..{cap}")
 
 
-def _codes(*fields) -> list[int] | None:
-    """The code of each field (s, k), or None unless every s is a k-bit
-    string: the one parse of the bit-string methods' arguments."""
-    if all(isinstance(s, str) and len(s) == k and not s.strip("01")
-           for s, k in fields):
-        return [int(s, 2) for s, _ in fields]
-    return None
-
-
 def _bit(b) -> int:
-    if b not in (0, 1):
+    """The committed bit: an integer (a bool counts) equal to 0 or 1."""
+    if not isinstance(b, (int, np.integer)) or b not in (0, 1):
         raise StructureError(f"the committed bit must be 0 or 1, got {b!r}")
     return int(b)
 
@@ -168,10 +162,8 @@ class ToyMac:
     def sign_law(self, x: str, theta: str, m: str) -> FiniteDist:
         """Measure the first lm encoded qubits in bases chosen by m."""
         n, lm = self.n, self.lm
-        if _codes((x, n), (theta, n), (m, lm)) is None:
-            raise StructureError(f"expected {n}, {n} and {lm} bits, got "
-                                 f"{x!r}, {theta!r} and {m!r}")
-        at, w = _sign_atoms(n, lm, np.array([int(x + theta + m, 2)]))
+        key = check_bits(x, n) + check_bits(theta, n) + check_bits(m, lm)
+        at, w = _sign_atoms(n, lm, np.array([int(key, 2)]))
         return FiniteDist.from_codes(lm, at & ((1 << lm) - 1), w)
 
     def sign(self, x: str, theta: str, m: str,
@@ -183,10 +175,11 @@ class ToyMac:
         agrees with x outside f = m ^ theta, the rule of ``_sign_atoms``.
         False unless vk has 2n bits and m and sigma have lm bits each."""
         n, lm = self.n, self.lm
-        codes = _codes((vk, 2 * n), (m, lm), (sigma, lm))
-        if codes is None:
+        try:
+            vk, m, sigma = (int(check_bits(s, k), 2) for s, k in
+                            ((vk, 2 * n), (m, lm), (sigma, lm)))
+        except StructureError:
             return False
-        vk, m, sigma = codes
         keys = np.arange(1 << 2 * n)
         free = m ^ (keys >> (n - lm))
         wrong = (sigma ^ (keys >> (2 * n - lm))) & ~free
@@ -345,12 +338,13 @@ class ToyCommitment:
         """The keys of committed bit b that hash to y, ascending, in a new
         list; none when y is not a digest."""
         b, half = _bit(b), 1 << (2 * self.n - 1)
-        codes = _codes((y, self.digest_len))
-        if codes is None:
+        try:
+            y = int(check_bits(y, self.digest_len), 2)
+        except StructureError:
             return []
         keys, width = np.arange(b * half, (b + 1) * half), f"0{2 * self.n}b"
         return [format(k, width)
-                for k in keys[self.digest_codes[keys] == codes[0]].tolist()]
+                for k in keys[self.digest_codes[keys] == y].tolist()]
 
     def s1_law(self, b: int) -> FiniteDist:
         half = 1 << (2 * self.n - 1)
@@ -373,11 +367,13 @@ class ToyCommitment:
 
     def r2(self, y: str, s2: str, b: int) -> bool:
         """Whether opening s2 of bit b passes against digest y: its key
-        hashes to y and its first bit is b (given as 0, 1, "0" or "1")."""
-        codes = _codes((y, self.digest_len), (str(b), 1), (s2, 2 * self.n))
-        if codes is None:
+        hashes to y and its first bit is b. False for a bit that ``s1_law``
+        refuses and for a y or s2 that is not a bit string of its width."""
+        try:
+            b, y, key = (_bit(b), int(check_bits(y, self.digest_len), 2),
+                         int(check_bits(s2, 2 * self.n), 2))
+        except StructureError:
             return False
-        y, b, key = codes
         return bool(self.opens[y, (b << (2 * self.n)) | key])
 
     def hiding_sd(self) -> float:
@@ -529,26 +525,23 @@ def algorithm_c_com(com: ToyCommitment, rng: np.random.Generator,
 def algorithm_c_com_success(com: ToyCommitment, form: str = "literal") -> float:
     """Exact probability that the double-opener's two openings both verify.
 
-    Digests whose conditioning is impossible count as failures.
+    Digests whose conditioning is impossible count as failures. The first
+    opening (a bit-0 key) always passes; the second opens bit 1 with a key
+    of bit 0 (literal) or 1 (coherent), scored by the mean of ``opens``.
     """
     if form == "literal":
-        y_law = com.s1_law(0)
+        y_law, src = com.s1_law(0), 0
     elif form == "coherent":
         scheme_law = com_to_dcrpuzz(com, "coherent").samp_law("")
-        y_law = marginal(scheme_law, range(com.digest_len))
+        y_law, src = marginal(scheme_law, range(com.digest_len)), 1
     else:
         raise StructureError(f"unknown sampler form {form!r}")
-    win = 0.0
-    for y, w in y_law.items():
-        src0 = com.preimage_list(y, 0)
-        src1 = com.preimage_list(y, 0) if form == "literal" \
-            else com.preimage_list(y, 1)
-        if not src0 or not src1:
-            continue
-        ok0 = sum(com.r2(y, s, 0) for s in src0) / len(src0)
-        ok1 = sum(com.r2(y, s, 1) for s in src1) / len(src1)
-        win += w * ok0 * ok1
-    return win
+    # opens[y, 1 || key] over the keys whose top bit is src
+    passed = com.opens.reshape(len(com.opens), 4, -1)[:, 2 + src].sum(axis=1)
+    counts = com.parity_counts[:, y_law.codes]
+    ok = np.divide(passed[y_law.codes], counts[src], out=np.zeros(len(y_law)),
+                   where=(counts[0] > 0) & (counts[src] > 0))
+    return float(np.cumsum(y_law.weights * ok)[-1])
 
 
 # -- the audit of opening success and hiding ------------------------------------------
@@ -588,13 +581,12 @@ def audit_quantities(y_law: FiniteDist, success0: dict, success1: dict,
 
 
 def hiding_and_correctness_audit(com: ToyCommitment, p: float) -> AuditReport:
-    """Enumerate per-digest opening success for both bits and check that
-    the double-opening mass clears the thresholded lower bound."""
-    y_law = com.s1_law(0)
-    success0, success1 = {}, {}
-    for y in sorted({*com.s1_law(0).support, *com.s1_law(1).support}):
-        for b, out in ((0, success0), (1, success1)):
-            pre = com.preimage_list(y, b)
-            out[y] = (sum(com.r2(y, s, b) for s in pre) / len(pre)
-                      if pre else 0.0)
-    return audit_quantities(y_law, success0, success1, com.hiding_sd(), p)
+    """Per-digest opening success for both bits, over the digests with a
+    preimage, and whether the double-opening mass clears the thresholded
+    lower bound. Every bit-b key of y opens y to b, so the bit-b success
+    is 1.0 where ``parity_counts`` has one and 0.0 elsewhere."""
+    digests = list(enumerate(com.parity_counts.T.tolist()))
+    success0, success1 = ({format(y, f"0{com.digest_len}b"): float(c[b] > 0)
+                           for y, c in digests if any(c)} for b in (0, 1))
+    return audit_quantities(com.s1_law(0), success0, success1,
+                            com.hiding_sd(), p)

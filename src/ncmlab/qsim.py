@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import FiniteDist
+from .dist import FiniteDist, check_bits
 from .errors import (
     ImpossibleConditionError,
     InstanceTooLargeError,
@@ -471,13 +471,14 @@ class BranchTree:
         found by its code in its level's ascending ``taus``."""
         nodes, code = [], 0
         for t, u in enumerate(tau, start=1):
-            level = self.levels[t] if t < len(self.levels) else None
-            found = (level is not None and isinstance(u, str)
-                     and len(u) == level.measure and not u.strip("01"))
-            if found:
-                code = (code << level.measure) | int(u or "0", 2)
+            try:  # an IndexError: a step past the last level
+                level = self.levels[t]
+                code = (code << level.measure) | int(
+                    check_bits(u, level.measure) or "0", 2)
                 row = int(level.taus.searchsorted(code))
                 found = row < len(level.taus) and level.taus[row] == code
+            except (IndexError, StructureError):
+                found = False
             if not found:
                 raise ImpossibleConditionError(
                     f"transcript {tau} leaves the branch tree at step {t} "

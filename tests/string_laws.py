@@ -12,12 +12,18 @@ signing toy's string signer from before ``ToyMac.sign_law`` read the
 integer atom rule. ``mac_table``, ``com_table``, ``preimages``,
 ``classes`` and ``r2`` are the toys' string views of their public tables
 and the commitment's string receiver, from before the code arrays became
-the only tables.
+the only tables. ``hiding_and_correctness_audit`` and
+``algorithm_c_com_success`` are the commitment audits from before they
+read the code tables: they score every preimage with ``r2``, here on the
+string views.
 """
 
 import itertools
 
 import numpy as np
+
+from ncmlab.dist import marginal
+from ncmlab.primitives import audit_quantities, com_to_dcrpuzz
 
 READOUT_PRUNE_TOL = 1e-14
 
@@ -162,3 +168,44 @@ def r2(table, y, s2, b):
     """The commitment's receiver: the key hashes to y and opens bit b."""
     return (len(s2) == len(next(iter(table))) and table.get(s2) == y
             and s2[0] == str(b))
+
+
+def _preimage_lists(table):
+    """``ToyCommitment.preimage_list`` on the string view: digest y and
+    bit b to y's ascending bit-b keys, none for a digest without keys."""
+    split = classes(table)
+    return lambda y, b: split.get(y, ([], []))[b]
+
+
+def hiding_and_correctness_audit(com, p):
+    table = com_table(com)
+    preimage_list = _preimage_lists(table)
+    y_law = com.s1_law(0)
+    success0, success1 = {}, {}
+    for y in sorted({*com.s1_law(0).support, *com.s1_law(1).support}):
+        for b, out in ((0, success0), (1, success1)):
+            pre = preimage_list(y, b)
+            out[y] = (sum(r2(table, y, s, b) for s in pre) / len(pre)
+                      if pre else 0.0)
+    return audit_quantities(y_law, success0, success1, com.hiding_sd(), p)
+
+
+def algorithm_c_com_success(com, form):
+    table = com_table(com)
+    preimage_list = _preimage_lists(table)
+    if form == "literal":
+        y_law = com.s1_law(0)
+    else:
+        scheme_law = com_to_dcrpuzz(com, "coherent").samp_law("")
+        y_law = marginal(scheme_law, range(com.digest_len))
+    win = 0.0
+    for y, w in y_law.items():
+        src0 = preimage_list(y, 0)
+        src1 = preimage_list(y, 0) if form == "literal" \
+            else preimage_list(y, 1)
+        if not src0 or not src1:
+            continue
+        ok0 = sum(r2(table, y, s, 0) for s in src0) / len(src0)
+        ok1 = sum(r2(table, y, s, 1) for s in src1) / len(src1)
+        win += w * ok0 * ok1
+    return win

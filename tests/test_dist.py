@@ -175,8 +175,6 @@ def test_sampling_deterministic_for_fixed_seed():
         rng = np.random.default_rng(12345)
         runs.append([d.sample(rng) for _ in range(50)])
     assert runs[0] == runs[1]
-    rng = np.random.default_rng(12345)
-    assert d.sample_many(rng, 50) == d.sample_many(np.random.default_rng(12345), 50)
 
 
 def test_sampling_law_of_large_numbers():
@@ -185,7 +183,7 @@ def test_sampling_law_of_large_numbers():
     probs = {format(i, "03b"): w for i, w in enumerate(
         [0.05, 0.10, 0.15, 0.20, 0.05, 0.05, 0.25, 0.15])}
     d = FiniteDist(probs)
-    emp = empirical(d.sample_many(rng, 100_000)).to_dist()
+    emp = empirical([d.sample(rng) for _ in range(100_000)]).to_dist()
     assert sd(emp, d) <= 0.01
 
 

@@ -26,11 +26,13 @@ from ncmlab.errors import StructureError
 from ncmlab.primitives import (
     ToyCommitment,
     ToyMac,
+    algorithm_c_com_success,
     balanced_table,
     both_parity_mass,
     com_break_exact,
     com_break_via_collision,
     com_to_dcrpuzz,
+    hiding_and_correctness_audit,
     mac_break_exact,
     mac_break_via_collision,
     mac_to_dcrpuzz,
@@ -356,6 +358,31 @@ def test_commitment_tables_match_the_string_loops(case, form):
         assert report.exact == (exact if source == "col" else 0.0)
     if form == "literal":
         assert exact == 0.0
+
+
+def _audit_tables():
+    yield "balanced-n3c1", ToyCommitment(3, 1, balanced_table(3, 1))
+    yield "balanced-n4c2", ToyCommitment(4, 2, balanced_table(4, 2))
+    # each bit's keys all hash to one digest, and two digests have none
+    yield "split-n3c1", ToyCommitment(3, 1, np.repeat([0, 1], 32))
+    for n, c in ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)):
+        for seed in range(20):
+            yield f"random-n{n}c{c}-{seed}", toy_commitment(
+                n, c, np.random.default_rng(5000 + 100 * seed + 10 * n + c))
+
+
+def test_commitment_audits_match_the_r2_loops():
+    # the audits read parity_counts and opens; the references score every
+    # preimage with the string receiver, as the audits once did with r2
+    for name, com in _audit_tables():
+        for p in (1, 2, 8):
+            assert (repr(hiding_and_correctness_audit(com, p))
+                    == repr(string_laws.hiding_and_correctness_audit(com, p))
+                    ), (name, p)
+        for form in ("literal", "coherent"):
+            assert (algorithm_c_com_success(com, form).hex()
+                    == string_laws.algorithm_c_com_success(com, form).hex()
+                    ), (name, form)
 
 
 # -- the collision sampler and the state law --------------------------------------

@@ -321,10 +321,18 @@ def _project_first(amps, m, idx, n):
     return post.reshape(-1), p
 
 
+def _sample_many(d, rng, shots):
+    """``shots`` draws from law d by one ``rng.choice`` over its support:
+    the ``FiniteDist.sample_many`` the string walk was written with."""
+    picks = rng.choice(len(d), size=shots, p=d.weights / d.weights.sum())
+    keys = d.support
+    return [keys[i] for i in picks]
+
+
 def _reference_reads(circuit, shots, rng):
     """The string walk that oracle_read_codes replaced, kept as the
-    reference: one multinomial per collapse, then one readout_dist
-    sample_many per group, rows of bit strings."""
+    reference: one multinomial per collapse, then one ``_sample_many`` of
+    the readout law per group, rows of bit strings."""
     n = circuit.qubits
     out = [[] for _ in range(shots)]
     groups = [(initial_state(n), list(range(shots)))]
@@ -347,7 +355,7 @@ def _reference_reads(circuit, shots, rng):
                     splits.append((post, members[start:start + cnt]))
                     start += cnt
             for post, sub in splits:
-                reads = readout_dist(post, n).sample_many(rng, len(sub))
+                reads = _sample_many(readout_dist(post, n), rng, len(sub))
                 for shot, v in zip(sub, reads):
                     out[shot].append(v)
                 next_groups.append((post, sub))

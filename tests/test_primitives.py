@@ -390,14 +390,29 @@ def test_receiver_rejects_garbage():
     assert not CRAFTED.r2(y, s2[:-1], 0)     # wrong width
 
 
-@pytest.mark.parametrize("b", [-1, 2, "1", None])
+@pytest.mark.parametrize("b", [-1, 2, "1", None, "0", 1.0, np.float64(0.0),
+                               np.True_, np.array([0, 1]), 1 + 0j])
 def test_committed_bit_must_be_zero_or_one(b):
+    # one rule for every method: where the others refuse b, r2 rejects
     rng = np.random.default_rng(45)
     for call in (lambda: CRAFTED.s1_law(b), lambda: CRAFTED.s1(b, rng),
                  lambda: CRAFTED.preimage_list("00", b),
                  lambda: CRAFTED.preimage_list("zz", b)):
         with pytest.raises(StructureError):
             call()
+    for bit in (0, 1):
+        y = CRAFTED.s1_law(bit).support[0]
+        assert not CRAFTED.r2(y, CRAFTED.preimage_list(y, bit)[0], b)
+
+
+@pytest.mark.parametrize("b", [0, 1, False, True, np.int64(1), np.uint8(0)])
+def test_committed_bit_is_any_integer_zero_or_one(b):
+    y = CRAFTED.s1_law(int(b)).support[-1]
+    keys = CRAFTED.preimage_list(y, b)
+    assert keys == CRAFTED.preimage_list(y, int(b))
+    assert CRAFTED.s1_law(b).to_json() == CRAFTED.s1_law(int(b)).to_json()
+    assert all(CRAFTED.r2(y, k, b) for k in keys)
+    assert not any(CRAFTED.r2(y, k, 1 - int(b)) for k in keys)
 
 
 def test_returned_lists_are_not_shared():
